@@ -21,7 +21,7 @@ application's ``lambda``, not the other way around.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,45 @@ from repro.core.bias import ExponentialBias
 from repro.core.reservoir import ReservoirSampler
 from repro.utils.rng import RngLike
 
-__all__ = ["ExponentialReservoir"]
+__all__ = ["ExponentialReservoir", "virtual_slot_plan"]
+
+_NO_WRITERS = np.empty(0, dtype=np.int64)
+
+
+def virtual_slot_plan(
+    victims: np.ndarray, size: int, capacity: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Storage writes of one Algorithm 2.1 block (virtual-slot form).
+
+    ``victims[i]`` is the virtual slot (in ``[0, capacity)``) hit by the
+    block's ``i``-th arrival and ``size`` the resident count before the
+    block. Only each slot's *last* writer is observable, so the plan is
+    ``(slots, writers, new_writers)``:
+
+    * ``slots`` — occupied slots (``< size``) that were hit, ascending,
+      and ``writers`` their last writer's block position;
+    * ``new_writers`` — the last writer of every newly occupied slot, in
+      first-hit order: the order in which the per-item path appends them
+      to the storage tail.
+
+    ``last[victims] = arange(b)`` finds each slot's last writer in
+    O(b + capacity), since a fancy-index scatter with duplicate indices
+    keeps the last write; the reversed scatter finds first hits the same
+    way. A full reservoir (``size == capacity``) has no new slots, so the
+    first-hit pass is skipped.
+    """
+    b = len(victims)
+    last = np.full(capacity, -1, dtype=np.int64)
+    last[victims] = np.arange(b)
+    touched = np.flatnonzero(last >= 0)
+    if size == capacity:
+        return touched, last[touched], _NO_WRITERS
+    first = np.empty(capacity, dtype=np.int64)
+    first[victims[::-1]] = np.arange(b - 1, -1, -1)
+    split = int(np.searchsorted(touched, size))
+    slots, new_slots = touched[:split], touched[split:]
+    order = np.argsort(first[new_slots], kind="stable")
+    return slots, last[slots], last[new_slots[order]]
 
 
 class ExponentialReservoir(ReservoirSampler):
@@ -102,32 +140,28 @@ class ExponentialReservoir(ReservoirSampler):
         each slot's *last* writer is materialized (intermediate occupants
         are unobservable). Newly occupied virtual slots are compacted onto
         the storage tail in first-hit order, matching the per-item append
-        order.
+        order (:func:`virtual_slot_plan`).
         """
-        n = self.capacity
         b = len(block)
         t0 = self.t
         s0 = len(self._payloads)
-        victims = self.rng.integers(0, n, size=b)
-        uniq, first_pos = np.unique(victims, return_index=True)
-        last_pos = b - 1 - np.unique(victims[::-1], return_index=True)[1]
-        existing = uniq < s0
-        for slot, w in zip(
-            uniq[existing].tolist(), last_pos[existing].tolist()
-        ):
+        victims = self.rng.integers(0, self.capacity, size=b)
+        slots, writers, new_writers = virtual_slot_plan(
+            victims, s0, self.capacity
+        )
+        slots = slots.tolist()
+        for slot, w in zip(slots, writers.tolist()):
             self._payloads[slot] = block[w]
             self._arrivals[slot] = t0 + w + 1
-            self._ops.append(("replace", slot))
-        new_mask = ~existing
-        order = np.argsort(first_pos[new_mask], kind="stable")
-        for w in last_pos[new_mask][order].tolist():
-            self._ops.append(("append", len(self._payloads)))
+        for w in new_writers.tolist():
             self._payloads.append(block[w])
             self._arrivals.append(t0 + w + 1)
+        self._write_rows(slots)
+        self._write_rows(range(s0, len(self._payloads)))
         self.t = t0 + b
         self.offers += b
         self.insertions += b
-        self.ejections += b - int(new_mask.sum())
+        self.ejections += b - len(new_writers)
         return b
 
     def _extra_state(self) -> dict:

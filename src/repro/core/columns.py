@@ -2,13 +2,14 @@
 
 Query evaluation (:mod:`repro.queries`) is array-native: every estimate is
 a handful of numpy reductions over the residents' feature values, labels,
-and arrival indices. Materializing those three contiguous columns from the
-reservoir's payload list costs one Python pass over the residents — which
-is exactly the per-point work the columnar engine exists to avoid paying
-*per query*. :class:`ResidentColumns` is that one materialization;
-:meth:`~repro.core.reservoir.ReservoirSampler.resident_columns` caches it
-against a mutation key so every estimate between two reservoir mutations
-reuses the same arrays.
+and arrival indices, and the nearest-neighbor classifier
+(:mod:`repro.mining.knn`) is one vectorized distance computation over the
+same values. Materializing those three contiguous columns from the
+reservoir's payload list costs one Python pass over the residents.
+:func:`build_resident_columns` is that pass. A sampler runs it once, into
+capacity-row buffers that it then keeps in step with every storage write
+(:meth:`~repro.core.reservoir.ReservoirSampler.resident_columns`), and
+hands out :class:`ResidentColumns` views onto those buffers.
 
 The view requires :class:`~repro.streams.point.StreamPoint` payloads (the
 same contract the estimators already impose); offering any other payload
@@ -44,6 +45,13 @@ class ResidentColumns:
 
     All three arrays are marked read-only: they are shared by every
     consumer of the cached view, so nobody may scribble on them.
+
+    Lifetime: a view returned by
+    :meth:`~repro.core.reservoir.ReservoirSampler.resident_columns` shares
+    memory with the sampler's column buffers. It is valid until the next
+    storage change (the next insertion, ejection or compaction), after
+    which its rows may hold other residents. Read it immediately, or copy
+    it to keep a snapshot.
     """
 
     values: np.ndarray
@@ -61,7 +69,8 @@ def build_resident_columns(
 ) -> ResidentColumns:
     """Materialize :class:`ResidentColumns` from parallel resident storage.
 
-    ``payloads`` must be :class:`StreamPoint` objects; ``arrivals`` their
+    The result owns fresh arrays (it is the reference every sampler's
+    buffered view must equal). ``payloads`` must be :class:`StreamPoint` objects; ``arrivals`` their
     1-based arrival indices (same order). Empty storage yields
     ``(0, 0)``-shaped values.
     """

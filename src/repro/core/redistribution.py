@@ -94,8 +94,6 @@ class GeneralBiasSampler(ReservoirSampler):
         slack in expectation.
     """
 
-    supports_mutation_log = False  # storage is rebuilt wholesale per offer
-
     def __init__(
         self,
         bias: BiasFunction,
@@ -169,6 +167,7 @@ class GeneralBiasSampler(ReservoirSampler):
         self._payloads = survivors_p
         self._arrivals = survivors_a
         self._probs = survivors_prob
+        self._drop_columns()  # storage was rebuilt wholesale
 
         # Admit the newcomer with its own target probability.
         p_new_point = min(1.0, const * self.bias.weight(self.t, self.t))

@@ -10,6 +10,14 @@ Storage layout: two parallel Python lists, ``_payloads`` (arbitrary user
 objects) and ``_arrivals`` (1-based arrival indices). Parallel lists keep
 per-offer overhead minimal for multi-hundred-thousand-point streams while
 still letting callers attach any payload type.
+
+For :class:`~repro.streams.point.StreamPoint` payloads the sampler also
+owns one columnar copy of its residents (see
+:meth:`ReservoirSampler.resident_columns`): capacity-row ``values`` /
+``labels`` / ``arrivals`` buffers, built on the first read and then kept
+in step row by row by every storage write. Query estimation and the
+nearest-neighbor classifier both read these buffers; nothing else stores
+the residents a second time.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.columns import ResidentColumns, build_resident_columns
+from repro.streams.point import StreamPoint
 from repro.utils.rng import RngLike, as_generator
 
 __all__ = [
@@ -80,22 +89,14 @@ class ReservoirSampler(ABC):
         self.ejections = 0
         self._payloads: List[Any] = []
         self._arrivals: List[int] = []
-        # Per-offer mutation log (see `last_ops`): lets consumers such as
-        # the kNN classifier mirror the reservoir incrementally instead of
-        # re-snapshotting it on every prediction. During an `offer_many`
-        # batch the log accumulates across the whole batch instead of
-        # resetting per arrival (`_batch_depth` > 0).
-        self._ops: List[Tuple] = []
-        self._ops_t = -1
-        self._batch_depth = 0
-        # Cached struct-of-arrays resident view (see `resident_columns`):
+        # Sampler-owned resident columns (see `resident_columns`):
+        # capacity-row (values, labels, arrivals) buffers that every
+        # storage write updates in place, or None until the next read
+        # rebuilds them (first read, or after a wholesale storage change).
+        self._buffers: Optional[Tuple[np.ndarray, ...]] = None
+        # The view handed out for the current storage epoch:
         # (mutation key, ResidentColumns) or None.
         self._columns_cache: Optional[Tuple[Tuple, ResidentColumns]] = None
-
-    #: Whether `last_ops` faithfully describes every storage change. Samplers
-    #: with bespoke storage (chains, wholesale rebuilds) set this to False and
-    #: consumers fall back to full re-snapshots.
-    supports_mutation_log: bool = True
 
     #: Whether the sampler maintains an exponential inclusion design
     #: ``p(x) = c * exp(-lambda * age)`` on its arrival-count axis. Only
@@ -174,8 +175,6 @@ class ReservoirSampler(ABC):
         random *sequence* consumed may therefore differ from the per-item
         path; only the distribution is guaranteed.
 
-        After a batch, :attr:`last_ops` describes the storage mutations of
-        the whole batch (in order) rather than of the final arrival only.
         The return value follows the :meth:`extend` contract: offers stored,
         not net growth.
         """
@@ -186,19 +185,15 @@ class ReservoirSampler(ABC):
         )
         if not block:
             return 0
-        self._begin_batch_log()
-        try:
-            stored = self._offer_block(block)
-        finally:
-            self._end_batch_log()
-        return stored
+        return self._offer_block(block)
 
     def _offer_block(self, block: List[Any]) -> int:
         """Batch-ingestion hook: process ``block`` and return stored count.
 
         The base implementation is the per-item loop; subclasses override
-        it with vectorized fast paths. Called with the batch log already
-        open, so mutation records accumulate across the block.
+        it with vectorized fast paths, which must keep the column buffers
+        in step (:meth:`_write_rows`, or :meth:`_drop_columns` after a
+        wholesale rewrite).
         """
         stored = 0
         for payload in block:
@@ -206,37 +201,43 @@ class ReservoirSampler(ABC):
                 stored += 1
         return stored
 
-    def _begin_batch_log(self) -> None:
-        """Open a batch scope: `last_ops` accumulates until the scope ends."""
-        if self._batch_depth == 0:
-            self._ops = []
-            self._ops_t = self.t
-        self._batch_depth += 1
+    # ------------------------------------------------------------------ #
+    # Column buffers (see `resident_columns`)
+    # ------------------------------------------------------------------ #
 
-    def _end_batch_log(self) -> None:
-        """Close a batch scope, pinning `last_ops` to the final position."""
-        self._batch_depth -= 1
-        if self._batch_depth == 0:
-            self._ops_t = self.t
+    def _write_row(self, slot: int) -> None:
+        """Copy storage ``slot`` into its column-buffer row, if built."""
+        buffers = self._buffers
+        if buffers is None:
+            return
+        values, labels, arrivals = buffers
+        point = self._payloads[slot]
+        if (
+            not isinstance(point, StreamPoint)
+            or point.values.shape != values.shape[1:]
+        ):
+            # Not representable in these buffers: the next read rebuilds
+            # and raises exactly as `build_resident_columns` does.
+            self._buffers = None
+            return
+        values[slot] = point.values
+        labels[slot] = -1 if point.label is None else point.label
+        arrivals[slot] = self._arrivals[slot]
 
-    def _record_op(self, op: Tuple) -> None:
-        """Append a mutation record for the current offer (or open batch)."""
-        if self._batch_depth == 0 and self._ops_t != self.t:
-            self._ops = []
-            self._ops_t = self.t
-        self._ops.append(op)
+    def _write_rows(self, slots: Iterable[int]) -> None:
+        """:meth:`_write_row` over the slots a batch kernel wrote."""
+        if self._buffers is not None:
+            for slot in slots:
+                self._write_row(slot)
 
-    @property
-    def last_ops(self) -> List[Tuple]:
-        """Storage mutations performed by the most recent ``offer`` (or, in
-        order, by the most recent ``offer_many`` batch).
+    def _drop_columns(self) -> None:
+        """Storage was compacted or rewritten wholesale: the next
+        :meth:`resident_columns` read rebuilds the buffers."""
+        self._buffers = None
 
-        Records are ``("append", slot)``, ``("replace", slot)``, or
-        ``("compact",)`` (slots were removed and remaining residents
-        re-indexed — consumers should re-snapshot). Empty when the last
-        offer changed nothing.
-        """
-        return list(self._ops) if self._ops_t == self.t else []
+    # ------------------------------------------------------------------ #
+    # Storage writes
+    # ------------------------------------------------------------------ #
 
     def _append(self, payload: Any) -> None:
         """Store a new resident (reservoir grows by one)."""
@@ -245,7 +246,7 @@ class ReservoirSampler(ABC):
         self._payloads.append(payload)
         self._arrivals.append(self.t)
         self.insertions += 1
-        self._record_op(("append", len(self._payloads) - 1))
+        self._write_row(len(self._payloads) - 1)
 
     def _replace_random(self, payload: Any) -> SampleEntry:
         """Overwrite a uniformly random resident; return the evicted entry."""
@@ -261,7 +262,7 @@ class ReservoirSampler(ABC):
         self._arrivals[slot] = self.t
         self.insertions += 1
         self.ejections += 1
-        self._record_op(("replace", slot))
+        self._write_row(slot)
         return evicted
 
     def _eject_random(self, count: int) -> List[SampleEntry]:
@@ -282,7 +283,7 @@ class ReservoirSampler(ABC):
             self._payloads.pop()
             self._arrivals.pop()
             self.ejections += 1
-            self._record_op(("compact",))
+            self._drop_columns()
             return [evicted_entry]
         victims = self.rng.choice(size, size=count, replace=False)
         evicted = [
@@ -293,7 +294,7 @@ class ReservoirSampler(ABC):
         self._payloads = [p for p, k in zip(self._payloads, keep) if k]
         self._arrivals = [a for a, k in zip(self._arrivals, keep) if k]
         self.ejections += count
-        self._record_op(("compact",))
+        self._drop_columns()
         return evicted
 
     # ------------------------------------------------------------------ #
@@ -418,24 +419,54 @@ class ReservoirSampler(ABC):
         return (self.insertions, self.ejections, self.size)
 
     def resident_columns(self) -> ResidentColumns:
-        """Struct-of-arrays view of the residents, cached between mutations.
+        """Struct-of-arrays view of the residents, in storage order.
 
-        Returns contiguous ``values``/``labels``/``arrivals`` arrays (see
-        :class:`~repro.core.columns.ResidentColumns`) in storage order.
-        The materialization is cached against :meth:`_columns_key`, so
-        repeated query estimates between two reservoir mutations reuse one
-        pass over the payloads instead of paying it per query. Requires
-        :class:`~repro.streams.point.StreamPoint` payloads.
+        Returns read-only ``values``/``labels``/``arrivals`` views (see
+        :class:`~repro.core.columns.ResidentColumns`) onto the sampler's
+        own capacity-row column buffers. The first read builds the
+        buffers with one pass over the payloads; from then on every
+        storage write updates its row in place, and only a compaction or
+        wholesale rewrite makes the next read rebuild. The view object is
+        cached against :meth:`_columns_key`, so two reads with no
+        mutation between them return the same object.
+
+        Lifetime: the views share memory with the buffers, so they stay
+        valid only until the next storage change. Use them immediately
+        (every estimator and the kNN classifier do); copy them to keep a
+        snapshot. Requires :class:`~repro.streams.point.StreamPoint`
+        payloads.
         """
         key = self._columns_key()
         cached = self._columns_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        columns = build_resident_columns(
-            self.payloads(), self.arrival_indices()
-        )
+        size = self.size
+        if size == 0:
+            # No resident fixes the feature width; nothing to buffer yet.
+            columns = build_resident_columns([], np.empty(0, np.int64))
+        else:
+            if self._buffers is None:
+                self._buffers = self._build_buffers()
+            values, labels, arrivals = self._buffers
+            columns = ResidentColumns(
+                values=_read_only(values[:size]),
+                labels=_read_only(labels[:size]),
+                arrivals=_read_only(arrivals[:size]),
+            )
         self._columns_cache = (key, columns)
         return columns
+
+    def _build_buffers(self) -> Tuple[np.ndarray, ...]:
+        """Capacity-row column buffers holding the current residents."""
+        built = build_resident_columns(self.payloads(), self.arrival_indices())
+        size, rows = built.size, self.capacity
+        values = np.empty((rows, built.values.shape[1]))
+        labels = np.empty(rows, dtype=np.int64)
+        arrivals = np.empty(rows, dtype=np.int64)
+        values[:size] = built.values
+        labels[:size] = built.labels
+        arrivals[:size] = built.arrivals
+        return values, labels, arrivals
 
     def __len__(self) -> int:
         return len(self._payloads)
@@ -491,8 +522,10 @@ def from_state_dict(state: Dict[str, Any]) -> ReservoirSampler:
     obj._restore_storage(state)
     obj._restore_extra(state)
     obj.rng.bit_generator.state = state["rng_state"]
-    # The mutation log describes live offers, not a restore; start clean.
-    obj._ops = []
-    obj._ops_t = -1
-    obj._batch_depth = 0
     return obj
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    """Mark a buffer view non-writable (its base stays writable)."""
+    view.setflags(write=False)
+    return view

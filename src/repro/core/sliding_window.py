@@ -107,8 +107,6 @@ class ChainSampler(ReservoirSampler):
         Seed or generator.
     """
 
-    supports_mutation_log = False  # storage lives inside the chains
-
     def _columns_key(self) -> Tuple:
         """Chains mutate on every offer without touching the base-storage
         counters, so the columnar-view cache keys on the stream position."""
@@ -128,6 +126,7 @@ class ChainSampler(ReservoirSampler):
         self.offers += 1
         for chain in self._chains:
             chain.offer(self.t, payload)
+        self._drop_columns()  # storage lives inside the chains
         return True
 
     def _extra_state(self) -> dict:

@@ -159,7 +159,7 @@ class TimeDecayReservoir(ReservoirSampler):
                 self._timestamps.pop()
                 self._insert_probs.pop()
                 self.ejections += 1
-                self._record_op(("compact",))
+                self._drop_columns()
 
     def offer_at(self, payload: Any, timestamp: float) -> bool:
         """Process an arrival stamped ``timestamp`` (non-decreasing)."""

@@ -139,7 +139,7 @@ class TimestampedExponentialReservoir(ReservoirSampler):
                 self._arrivals.pop()
                 self._timestamps.pop()
                 self.ejections += 1
-                self._record_op(("compact",))
+                self._drop_columns()
 
     def offer_at(self, payload: Any, timestamp: float) -> bool:
         """Process an arrival stamped ``timestamp`` (non-decreasing)."""
@@ -193,11 +193,7 @@ class TimestampedExponentialReservoir(ReservoirSampler):
             )
         if stamps[0] < self.now or np.any(np.diff(stamps) < 0.0):
             raise ValueError("timestamps must be non-decreasing")
-        self._begin_batch_log()
-        try:
-            self._offer_block_at(block, stamps)
-        finally:
-            self._end_batch_log()
+        self._offer_block_at(block, stamps)
         return len(block)
 
     def _offer_block(self, block: List[Any]) -> int:
@@ -217,13 +213,11 @@ class TimestampedExponentialReservoir(ReservoirSampler):
         payloads = self._payloads
         arrivals = self._arrivals
         timestamps = self._timestamps
-        ops = self._ops
         n = self.capacity
         t = self.t
         insertions = self.insertions
         ejections = self.ejections
         cursor = 0  # position in the pre-drawn per-round arrays
-        compacted = False
         for k, payload in enumerate(block):
             t += 1
             remaining = int(rounds[k])
@@ -241,9 +235,7 @@ class TimestampedExponentialReservoir(ReservoirSampler):
                     arrivals.pop()
                     timestamps.pop()
                     ejections += 1
-                    if not compacted:
-                        ops.append(("compact",))
-                        compacted = True
+                    self._drop_columns()
                 cursor += 1
                 remaining -= 1
             size = len(payloads)
@@ -254,13 +246,13 @@ class TimestampedExponentialReservoir(ReservoirSampler):
                 timestamps[victim] = float(stamps[k])
                 insertions += 1
                 ejections += 1
-                ops.append(("replace", victim))
+                self._write_row(victim)
             else:
                 payloads.append(payload)
                 arrivals.append(t)
                 timestamps.append(float(stamps[k]))
                 insertions += 1
-                ops.append(("append", size))
+                self._write_row(size)
         self.t = t
         self.offers += len(block)
         self.insertions = insertions

@@ -20,6 +20,7 @@ from typing import Any, List, Optional
 
 import numpy as np
 
+from repro.core.biased import virtual_slot_plan
 from repro.core.reservoir import ReservoirSampler
 from repro.utils.rng import RngLike
 
@@ -60,7 +61,8 @@ class UnbiasedReservoir(ReservoirSampler):
         The first ``n`` points append deterministically; for the rest the
         block's acceptance coins (``u < n/t``) and victim slots are drawn
         in bulk, and per slot only the last accepted writer is
-        materialized.
+        materialized (the full-reservoir case of
+        :func:`~repro.core.biased.virtual_slot_plan`).
         """
         total = len(block)
         idx = 0
@@ -80,12 +82,12 @@ class UnbiasedReservoir(ReservoirSampler):
         m = len(accepted)
         if m:
             victims = self.rng.integers(0, n, size=m)
-            slots, rev_pos = np.unique(victims[::-1], return_index=True)
-            writers = accepted[m - 1 - rev_pos]
-            for slot, w in zip(slots.tolist(), writers.tolist()):
+            slots, last, _ = virtual_slot_plan(victims, n, n)
+            slots = slots.tolist()
+            for slot, w in zip(slots, accepted[last].tolist()):
                 self._payloads[slot] = block[idx + w]
                 self._arrivals[slot] = t0 + w + 1
-                self._ops.append(("replace", slot))
+            self._write_rows(slots)
             self.insertions += m
             self.ejections += m
         self.t = t0 + b
@@ -194,7 +196,7 @@ class SkipUnbiasedReservoir(ReservoirSampler):
                 slot = int(self.rng.integers(len(self._payloads)))
                 self._payloads[slot] = block[idx + pos]
                 self._arrivals[slot] = t0 + pos + 1
-                self._ops.append(("replace", slot))
+                self._write_row(slot)
                 self.insertions += 1
                 self.ejections += 1
                 stored += 1

@@ -12,12 +12,13 @@ labeled :class:`~repro.streams.point.StreamPoint` objects. Prediction is a
 majority vote among the ``k`` nearest residents (``k = 1`` reproduces the
 paper); distance is Euclidean, vectorized over the whole reservoir.
 
-Performance note: prediction keeps a numpy *mirror* of the reservoir
-contents, updated incrementally from the sampler's mutation log
-(:attr:`~repro.core.reservoir.ReservoirSampler.last_ops`), so a prequential
-pass costs one row write plus one vectorized distance computation per
-point. Samplers without a mutation log fall back to re-snapshotting
-whenever their contents change.
+Performance note: the classifier stores nothing of its own. Prediction
+reads the sampler's resident columns
+(:meth:`~repro.core.reservoir.ReservoirSampler.resident_columns`), which
+the sampler keeps in step with every storage write, so a prequential pass
+costs one row write inside the sampler plus one vectorized distance
+computation per point. Offers made to the sampler directly, outside
+:meth:`ReservoirKnnClassifier.observe`, are visible at the next prediction.
 """
 
 from __future__ import annotations
@@ -46,13 +47,6 @@ class ReservoirKnnClassifier:
         prediction time.
     k:
         Number of neighbors in the vote (paper: 1).
-
-    Notes
-    -----
-    For the incremental mirror to stay consistent, route all stream
-    traffic through :meth:`observe` / :meth:`predict_then_observe` rather
-    than offering to the sampler directly. Out-of-band sampler mutations
-    are detected via the sampler's counters and trigger a full rebuild.
     """
 
     def __init__(self, sampler: ReservoirSampler, k: int = 1) -> None:
@@ -61,77 +55,6 @@ class ReservoirKnnClassifier:
             raise ValueError(f"k must be >= 1, got {k}")
         self.sampler = sampler
         self.k = k
-        self._matrix: Optional[np.ndarray] = None  # capacity x d mirror
-        self._labels: Optional[np.ndarray] = None
-        self._rows = 0
-        self._synced_insertions = -1
-        self._synced_ejections = -1
-
-    # ------------------------------------------------------------------ #
-    # Mirror maintenance
-    # ------------------------------------------------------------------ #
-
-    def _rebuild(self) -> None:
-        """Full re-snapshot of the reservoir into the mirror."""
-        payloads = self.sampler.payloads()
-        self._rows = len(payloads)
-        if self._rows == 0:
-            self._matrix = None
-            self._labels = None
-        else:
-            dim = payloads[0].dimensions
-            if (
-                self._matrix is None
-                or self._matrix.shape[1] != dim
-                or self._matrix.shape[0] < self.sampler.capacity
-            ):
-                cap = max(self.sampler.capacity, self._rows)
-                self._matrix = np.empty((cap, dim))
-                self._labels = np.empty(cap, dtype=np.int64)
-            for i, point in enumerate(payloads):
-                self._matrix[i] = point.values
-                self._labels[i] = (
-                    _UNLABELED if point.label is None else point.label
-                )
-        self._synced_insertions = self.sampler.insertions
-        self._synced_ejections = self.sampler.ejections
-
-    def _write_row(self, slot: int, point: StreamPoint) -> None:
-        if self._matrix is None:
-            dim = point.dimensions
-            cap = max(self.sampler.capacity, 1)
-            self._matrix = np.empty((cap, dim))
-            self._labels = np.empty(cap, dtype=np.int64)
-        self._matrix[slot] = point.values
-        self._labels[slot] = _UNLABELED if point.label is None else point.label
-
-    def _apply_ops(self) -> None:
-        """Fold the sampler's latest mutations into the mirror."""
-        if not self.sampler.supports_mutation_log:
-            self._rebuild()
-            return
-        ops = self.sampler.last_ops
-        if any(op[0] == "compact" for op in ops):
-            # Slots were removed and re-indexed; earlier per-slot records
-            # from the same offer are stale. Re-snapshot wholesale.
-            self._rebuild()
-            return
-        payloads = self.sampler._payloads  # slot-accurate view
-        for op in ops:
-            kind, slot = op
-            self._write_row(slot, payloads[slot])
-            if kind == "append":
-                self._rows = max(self._rows, slot + 1)
-        self._synced_insertions = self.sampler.insertions
-        self._synced_ejections = self.sampler.ejections
-
-    def _ensure_synced(self) -> None:
-        """Detect out-of-band mutations (direct offers) and rebuild."""
-        if (
-            self._synced_insertions != self.sampler.insertions
-            or self._synced_ejections != self.sampler.ejections
-        ):
-            self._rebuild()
 
     # ------------------------------------------------------------------ #
     # Classification
@@ -143,11 +66,10 @@ class ReservoirKnnClassifier:
         Ties in the k-NN vote break toward the closest neighbor whose
         label participates in the tie.
         """
-        self._ensure_synced()
-        if self._rows == 0 or self._matrix is None:
+        columns = self.sampler.resident_columns()
+        if columns.size == 0:
             return None
-        matrix = self._matrix[: self._rows]
-        labels = self._labels[: self._rows]
+        matrix, labels = columns.values, columns.labels
         labeled = labels != _UNLABELED
         if not np.any(labeled):
             return None
@@ -168,10 +90,7 @@ class ReservoirKnnClassifier:
 
     def observe(self, point: StreamPoint) -> bool:
         """Offer ``point`` to the backing reservoir (training step)."""
-        self._ensure_synced()
-        inserted = self.sampler.offer(point)
-        self._apply_ops()
-        return inserted
+        return self.sampler.offer(point)
 
     def predict_then_observe(self, point: StreamPoint) -> Optional[int]:
         """One prequential step: classify first, then learn.

@@ -24,22 +24,13 @@ Theorem 3.3 thinning degenerates to a pure union of at most
 the whole sharded sample. Folding to a *smaller* capacity exercises the
 genuine thinning path.
 
-Backends
---------
-
-``backend="inline"`` holds the ``W`` workers in-process (the default; on
-a single core all the speedup comes from the workers' scatter kernel).
-``backend="process"`` runs each worker in its own OS process, shipping
-blocks over pipes and worker state back as
-:meth:`~repro.core.reservoir.ReservoirSampler.state_dict` snapshots —
-state-identical to the inline backend under the same seed, because worker
-generators are spawned from the same seed sequence and blocks arrive in
-the same order.
+The ``W`` workers live in-process and are fed in turn; the speedup over
+the serial ``offer_many`` path comes from the workers' scatter kernel,
+not from parallelism.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -88,24 +79,6 @@ class _GlobalAxisView:
         return list(self._entries)
 
 
-def _worker_loop(conn, initial_state: Dict[str, Any]) -> None:
-    """Process-backend worker: apply ingest commands, reply with state."""
-    worker = ShardWorker.from_state_dict(initial_state)
-    while True:
-        msg = conn.recv()
-        cmd = msg[0]
-        if cmd == "ingest":
-            payloads, globs = msg[1], msg[2]
-            worker.ingest(
-                _object_array(payloads), np.asarray(globs, dtype=np.int64)
-            )
-        elif cmd == "state":
-            conn.send(worker.state_dict())
-        elif cmd == "close":
-            conn.close()
-            return
-
-
 class ShardedReservoir:
     """Sharded exponentially biased reservoir over a partitioned stream.
 
@@ -131,10 +104,7 @@ class ShardedReservoir:
         Seed or generator. Worker ``i`` draws from spawn-child ``i`` of
         this seed and the coordinator's fold draws from child ``W``
         (:func:`~repro.utils.rng.spawn_generators` semantics), so results
-        are reproducible and backend-independent.
-    backend:
-        ``"inline"`` (default) or ``"process"`` (one OS process per
-        worker).
+        are reproducible.
     flush_size:
         Per-worker buffer for the per-item :meth:`offer` path; buffered
         points are dispatched as one ``offer_many`` block when the buffer
@@ -150,7 +120,6 @@ class ShardedReservoir:
         family: str = "exponential",
         partitioner: Optional[Partitioner] = None,
         rng: RngLike = None,
-        backend: str = "inline",
         flush_size: int = 8192,
     ) -> None:
         capacity = int(capacity)
@@ -163,15 +132,12 @@ class ShardedReservoir:
                 f"workers ({workers}) so every shard holds capacity/W "
                 "residents"
             )
-        if backend not in ("inline", "process"):
-            raise ValueError(f"unknown backend {backend!r}")
         if flush_size < 1:
             raise ValueError(f"flush_size must be >= 1, got {flush_size}")
         self.capacity = capacity
         self.workers = workers
         self.shard_capacity = capacity // workers
         self.family = family
-        self.backend = backend
         self.flush_size = int(flush_size)
         self.t = 0
         self.requested_lam = None if lam is None else float(lam)
@@ -211,7 +177,7 @@ class ShardedReservoir:
         seed_seq = self._seed_sequence(rng)
         children = seed_seq.spawn(workers + 1)
         self._fold_rng = np.random.default_rng(children[workers])
-        local_workers = []
+        self._workers: List[ShardWorker] = []
         for i in range(workers):
             child = np.random.default_rng(children[i])
             if family == "exponential":
@@ -220,32 +186,13 @@ class ShardedReservoir:
                 sampler = SpaceConstrainedReservoir(
                     capacity=m, p_in=self.p_in, rng=child
                 )
-            local_workers.append(ShardWorker(sampler, family))
+            self._workers.append(ShardWorker(sampler, family))
 
         self._buf_payloads: List[List[Any]] = [[] for _ in range(workers)]
         self._buf_globals: List[List[int]] = [[] for _ in range(workers)]
         # Cached union-resident columnar view, keyed by stream position
         # (see `resident_columns`).
         self._columns_cache: Optional[tuple] = None
-        if backend == "inline":
-            self._workers = local_workers
-            self._conns = None
-            self._procs = None
-        else:
-            self._workers = None
-            self._conns = []
-            self._procs = []
-            for w in local_workers:
-                parent, child_conn = multiprocessing.Pipe()
-                proc = multiprocessing.Process(
-                    target=_worker_loop,
-                    args=(child_conn, w.state_dict()),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._conns.append(parent)
-                self._procs.append(proc)
 
     @staticmethod
     def _seed_sequence(rng: RngLike) -> np.random.SeedSequence:
@@ -321,12 +268,8 @@ class ShardedReservoir:
     def _dispatch(
         self, w: int, payloads: np.ndarray, globs: np.ndarray
     ) -> None:
-        if self._workers is not None:
-            self._workers[w].ingest(payloads, globs)
-        else:
-            self._conns[w].send(
-                ("ingest", payloads.tolist(), globs.tolist())
-            )
+        """Feed worker ``w`` one sub-block (the durable engine hooks this)."""
+        self._workers[w].ingest(payloads, globs)
 
     # ------------------------------------------------------------------ #
     # State access
@@ -334,20 +277,11 @@ class ShardedReservoir:
 
     def worker_states(self) -> List[Dict[str, Any]]:
         """Current :class:`ShardWorker` snapshots (flushes buffers)."""
-        self.flush()
-        if self._workers is not None:
-            return [w.state_dict() for w in self._workers]
-        states = []
-        for conn in self._conns:
-            conn.send(("state",))
-            states.append(conn.recv())  # FIFO: follows queued ingests
-        return states
+        return [w.state_dict() for w in self._current_workers()]
 
     def _current_workers(self) -> List[ShardWorker]:
         self.flush()
-        if self._workers is not None:
-            return self._workers
-        return [ShardWorker.from_state_dict(s) for s in self.worker_states()]
+        return self._workers
 
     def entries(self) -> List[SampleEntry]:
         """Residents as ``SampleEntry(global_arrival, payload)``,
@@ -487,7 +421,7 @@ class ShardedReservoir:
         )
 
     # ------------------------------------------------------------------ #
-    # Snapshots / lifecycle
+    # Snapshots
     # ------------------------------------------------------------------ #
 
     def state_dict(self) -> Dict[str, Any]:
@@ -523,9 +457,8 @@ class ShardedReservoir:
         cls,
         state: Dict[str, Any],
         partitioner: Optional[Partitioner] = None,
-        backend: str = "inline",
     ) -> "ShardedReservoir":
-        """Rebuild a facade from :meth:`state_dict` (default inline)."""
+        """Rebuild a facade from :meth:`state_dict`."""
         if state.get("class") != "ShardedReservoir":
             raise ValueError("not a ShardedReservoir snapshot")
         version = state.get("version", 1)
@@ -553,7 +486,6 @@ class ShardedReservoir:
             family=state["family"],
             partitioner=partitioner,
             rng=0,  # placeholder; every generator state is overwritten below
-            backend="inline",
             flush_size=state["flush_size"],
         )
         obj.t = int(state["t"])
@@ -561,36 +493,10 @@ class ShardedReservoir:
         obj._workers = [
             ShardWorker.from_state_dict(s) for s in state["worker_states"]
         ]
-        if backend == "process":
-            raise NotImplementedError(
-                "restore into the process backend is not supported; "
-                "restore inline and keep offering"
-            )
         return obj
-
-    def close(self) -> None:
-        """Shut down process-backend workers (no-op for inline)."""
-        if self._conns is not None:
-            for conn in self._conns:
-                try:
-                    conn.send(("close",))
-                    conn.close()
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in self._procs:
-                proc.join(timeout=5)
-            self._conns = None
-            self._procs = None
-
-    def __enter__(self) -> "ShardedReservoir":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (
             f"ShardedReservoir(capacity={self.capacity}, "
-            f"workers={self.workers}, family={self.family!r}, "
-            f"backend={self.backend!r}, t={self.t})"
+            f"workers={self.workers}, family={self.family!r}, t={self.t})"
         )

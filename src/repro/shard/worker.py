@@ -10,20 +10,19 @@ Two local sampler families are supported:
 * ``"exponential"`` — :class:`ArrayExponentialShard`, a storage-optimized
   Algorithm 2.1 reservoir. It consumes exactly the same random sequence as
   :class:`~repro.core.biased.ExponentialReservoir`'s batched path (one
-  bulk ``integers(0, n, size=b)`` draw per block) and reaches an identical
-  observable state, but replaces the double ``np.unique`` + Python-loop
-  writes with O(b + n) fancy-index scatters into preallocated numpy
-  arrays. On one core this kernel — not process parallelism — is what
-  makes the sharded engine several times faster than the serial
-  ``offer_many`` path.
+  bulk ``integers(0, n, size=b)`` draw per block) and follows the same
+  :func:`~repro.core.biased.virtual_slot_plan`, so it reaches an identical
+  observable state; only the data movement differs: the plan is applied
+  as O(b + n) fancy-index scatters into preallocated numpy arrays instead
+  of per-slot list writes.
 * ``"space_constrained"`` — a plain
   :class:`~repro.core.space_constrained.SpaceConstrainedReservoir` whose
   payloads are wrapped as ``(global_index, payload)`` pairs; the wrapper
   unwraps them at inspection/fold time.
 
-Workers cross process boundaries as
-:meth:`~repro.core.reservoir.ReservoirSampler.state_dict` snapshots, so
-the process backend is state-identical to the inline one.
+A worker snapshots as
+:meth:`~repro.core.reservoir.ReservoirSampler.state_dict` plus its family,
+which is how the sharded facade checkpoints and restores it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.biased import ExponentialReservoir
+from repro.core.biased import ExponentialReservoir, virtual_slot_plan
 from repro.core.reservoir import SampleEntry, from_state_dict
 from repro.core.space_constrained import SpaceConstrainedReservoir
 from repro.utils.rng import RngLike
@@ -51,19 +50,16 @@ class ArrayExponentialShard(ExponentialReservoir):
     """Algorithm 2.1 on preallocated arrays with scatter-based block ingest.
 
     Distribution, counters, resident ordering, and RNG consumption are
-    identical to :class:`ExponentialReservoir`'s ``offer_many`` path — the
-    virtual-slot kernel draws the same single bulk victim vector and keeps
-    each slot's last writer, with newly occupied slots compacted to the
-    tail in first-hit order. Only the data movement differs: per-slot
-    Python list writes become three fancy-index scatters.
+    identical to :class:`ExponentialReservoir`'s ``offer_many`` path — both
+    draw the same single bulk victim vector and apply the same
+    :func:`~repro.core.biased.virtual_slot_plan`. Only the data movement
+    differs: per-slot Python list writes become fancy-index scatters.
 
     Every resident additionally carries its global arrival index
     (:meth:`global_arrivals`), fed in through :meth:`ingest`; the plain
     ``offer``/``offer_many`` paths default the global axis to the local
     one, which is exact for ``W = 1``.
     """
-
-    supports_mutation_log = False  # writes land via bulk scatters
 
     def __init__(
         self,
@@ -77,8 +73,6 @@ class ArrayExponentialShard(ExponentialReservoir):
         self._arr = np.zeros(n, dtype=np.int64)
         self._glob = np.zeros(n, dtype=np.int64)
         self._size_n = 0
-        self._scratch_last = np.empty(n, dtype=np.int64)
-        self._scratch_first = np.empty(n, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -111,50 +105,25 @@ class ArrayExponentialShard(ExponentialReservoir):
     def _kernel(self, pay: np.ndarray, glob: np.ndarray) -> None:
         """Virtual-slot block step (see ExponentialReservoir._offer_block).
 
-        ``last[victims] = arange(b)`` relies on numpy fancy-index scatter
-        semantics (duplicate indices keep the last write) to find each
-        slot's final writer in O(b); the reversed scatter finds each new
-        slot's *first* hit, which fixes the append order.
+        The column buffers are not kept in step with the scatters; they
+        are dropped and rebuilt on the next read.
         """
-        n = self.capacity
         b = len(pay)
         t0 = self.t
         s0 = self._size_n
-        victims = self.rng.integers(0, n, size=b)
-        last = self._scratch_last
-        last.fill(-1)
-        last[victims] = np.arange(b)
-        if s0 == n:
-            # Steady state: every touched slot is an in-place replacement.
-            touched = np.nonzero(last >= 0)[0]
-            w = last[touched]
-            new_count = 0
-            self._pay[touched] = pay[w]
-            self._arr[touched] = t0 + 1 + w
-            self._glob[touched] = glob[w]
-        else:
-            first = self._scratch_first
-            first.fill(-1)
-            first[victims[::-1]] = np.arange(b - 1, -1, -1)
-            touched = np.nonzero(last >= 0)[0]
-            existing = touched[touched < s0]
-            w = last[existing]
-            self._pay[existing] = pay[w]
-            self._arr[existing] = t0 + 1 + w
-            self._glob[existing] = glob[w]
-            new_slots = touched[touched >= s0]
-            order = np.argsort(first[new_slots], kind="stable")
-            wn = last[new_slots[order]]
-            new_count = len(wn)
-            dest = np.arange(s0, s0 + new_count)
-            self._pay[dest] = pay[wn]
-            self._arr[dest] = t0 + 1 + wn
-            self._glob[dest] = glob[wn]
-            self._size_n = s0 + new_count
+        victims = self.rng.integers(0, self.capacity, size=b)
+        slots, w, wn = virtual_slot_plan(victims, s0, self.capacity)
+        dest = np.concatenate((slots, np.arange(s0, s0 + len(wn))))
+        w = np.concatenate((w, wn))
+        self._pay[dest] = pay[w]
+        self._arr[dest] = t0 + 1 + w
+        self._glob[dest] = glob[w]
+        self._size_n = s0 + len(wn)
         self.t = t0 + b
         self.offers += b
         self.insertions += b
-        self.ejections += b - new_count
+        self.ejections += b - len(wn)
+        self._drop_columns()
 
     # ------------------------------------------------------------------ #
     # Inspection (array-backed overrides)
@@ -252,11 +221,6 @@ class ShardWorker:
                 )
             ]
         return [tuple(entry.payload) for entry in self.sampler.entries()]
-
-    @property
-    def local_p_in(self) -> float:
-        """Local proportionality constant (1 for Algorithm 2.1)."""
-        return float(getattr(self.sampler, "p_in", 1.0))
 
     def state_dict(self) -> Dict[str, Any]:
         return {"family": self.family, "sampler": self.sampler.state_dict()}

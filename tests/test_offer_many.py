@@ -129,12 +129,9 @@ class TestOfferManyContract:
         sampler = ALL_SAMPLERS[name](3)
         sampler.offer_many(range(40))
         before = _state(sampler)
-        ops_before = sampler.last_ops
         assert sampler.offer_many([]) == 0
         assert sampler.offer_many(iter(())) == 0
         assert _state(sampler) == before
-        # The previous batch's log survives an empty call untouched.
-        assert sampler.last_ops == ops_before
 
     @pytest.mark.parametrize("name", sorted(ALL_SAMPLERS))
     def test_counters_and_invariants(self, name):
@@ -380,63 +377,17 @@ class TestFastPathDistribution:
 
 
 # ---------------------------------------------------------------------- #
-# Mutation-log contract over batches
+# Column consumers over batches
 # ---------------------------------------------------------------------- #
 
 
-def _replay(ops, sampler, mirror):
-    """Apply a batch's ops to a dict mirror; None signals re-snapshot."""
-    if any(op[0] == "compact" for op in ops):
-        return None
-    payloads = sampler.payloads()
-    for kind, slot in ops:
-        mirror[slot] = payloads[slot]
-    return mirror
-
-
 class TestBatchMutationLog:
-    @pytest.mark.parametrize(
-        "name", ["exponential", "unbiased", "skip_unbiased", "window_buffer"]
-    )
-    def test_ops_replay_reconstructs_state(self, name):
-        """Folding each batch's last_ops into a mirror reproduces the
-        reservoir exactly (samplers whose logs never compact)."""
-        sampler = ALL_SAMPLERS[name](21)
-        assert sampler.supports_mutation_log
-        mirror = {}
-        stream = list(range(900))
-        for lo in range(0, len(stream), 111):
-            sampler.offer_many(stream[lo : lo + 111])
-            mirror = _replay(sampler.last_ops, sampler, mirror)
-            assert mirror is not None
-            assert mirror == dict(enumerate(sampler.payloads()))
-
-    def test_timestamped_batch_log_compacts_on_decay(self):
-        """Decay ejections re-index slots; the batch log must say so."""
-        sampler = TimestampedExponentialReservoir(
-            lam_time=0.5, capacity=10, rng=2
-        )
-        sampler.offer_many_at(range(10), np.arange(1.0, 11.0))
-        # A long quiet gap forces decay ejections in the next batch.
-        sampler.offer_many_at([10, 11], [100.0, 101.0])
-        assert any(op[0] == "compact" for op in sampler.last_ops)
-
-    def test_last_ops_cover_whole_batch_not_last_item(self):
-        sampler = ExponentialReservoir(capacity=1000, rng=4)
-        sampler.offer_many(range(64))
-        ops = sampler.last_ops
-        # Far below capacity most arrivals append; the log must list one
-        # record per surviving arrival (the whole batch), not just the
-        # final arrival's single op.
-        assert len(ops) == sampler.size
-        assert len(ops) > 1
-        assert all(op[0] == "append" for op in ops)
-        assert sampler.ejections == 64 - sampler.size
+    """Consumers of the resident columns see batch mutations."""
 
     @pytest.mark.parametrize("name", ["exponential", "unbiased", "timestamped"])
     def test_knn_classifier_tracks_batched_sampler(self, name):
-        """The kNN mirror stays consistent when the reservoir is fed via
-        offer_many between predictions (counter-based rebuild detection)."""
+        """The classifier sees the reservoir fed via offer_many between
+        predictions (it reads the sampler's own resident columns)."""
         rng = np.random.default_rng(8)
         sampler = ALL_SAMPLERS[name](17)
         clf = ReservoirKnnClassifier(sampler, k=1)
@@ -452,6 +403,6 @@ class TestBatchMutationLog:
         probe = StreamPoint(301, np.zeros(3), label=None)
         prediction = clf.predict(probe)
         assert prediction in {0, 1, 2}
-        # The mirror must now agree with a freshly rebuilt classifier.
+        # It must agree with a freshly built classifier.
         fresh = ReservoirKnnClassifier(sampler, k=1)
         assert fresh.predict(probe) == prediction

@@ -176,9 +176,11 @@ class TestKnnMirrorProperty:
     def test_mirror_matches_reservoir_after_any_sequence(
         self, seed, n_points, capacity, sampler_kind
     ):
-        """After any offer sequence, the classifier's incremental mirror
-        must agree exactly with a fresh snapshot of the reservoir."""
+        """After any prequential sequence, the columns the classifier reads
+        equal a fresh rebuild of the reservoir, and its predictions equal
+        brute-force 1-NN over the resident payloads."""
         from repro.core.biased import ExponentialReservoir
+        from repro.core.columns import build_resident_columns
         from repro.core.variable import VariableReservoir
         from repro.mining.knn import ReservoirKnnClassifier
 
@@ -193,14 +195,18 @@ class TestKnnMirrorProperty:
         clf = ReservoirKnnClassifier(sampler)
         rng = np.random.default_rng(seed + 1000)
         for i in range(n_points):
-            clf.observe(
+            clf.predict_then_observe(
                 StreamPoint(i + 1, rng.normal(size=2), int(i % 3))
             )
-        # Mirror rows must equal the reservoir payloads, slot for slot.
         payloads = sampler.payloads()
-        assert clf._rows == len(payloads)
-        for slot, point in enumerate(payloads):
-            np.testing.assert_array_equal(
-                clf._matrix[slot], point.values
-            )
-            assert clf._labels[slot] == point.label
+        columns = sampler.resident_columns()
+        expected = build_resident_columns(
+            payloads, sampler.arrival_indices()
+        )
+        np.testing.assert_array_equal(columns.values, expected.values)
+        np.testing.assert_array_equal(columns.labels, expected.labels)
+        np.testing.assert_array_equal(columns.arrivals, expected.arrivals)
+        for probe in rng.normal(size=(5, 2)):
+            dists = [float(np.sum((p.values - probe) ** 2)) for p in payloads]
+            nearest = payloads[int(np.argmin(dists))]
+            assert clf.predict(StreamPoint(1, probe)) == nearest.label

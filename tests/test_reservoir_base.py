@@ -1,4 +1,4 @@
-"""Tests for the shared ReservoirSampler machinery (storage, ops log)."""
+"""Tests for the shared ReservoirSampler machinery (storage, ejection)."""
 
 import numpy as np
 import pytest
@@ -67,52 +67,7 @@ class TestStorageInvariants:
 
 
 class TestMutationLog:
-    def test_append_ops_recorded(self):
-        res = UnbiasedReservoir(5, rng=0)
-        res.offer("a")
-        assert res.last_ops == [("append", 0)]
-        res.offer("b")
-        assert res.last_ops == [("append", 1)]
-
-    def test_rejected_offer_logs_nothing(self):
-        res = UnbiasedReservoir(2, rng=0)
-        res.extend(range(2))
-        # Find an offer that is rejected and check the log is empty then.
-        rejected_seen = False
-        for i in range(200):
-            inserted = res.offer(i)
-            if not inserted:
-                assert res.last_ops == []
-                rejected_seen = True
-                break
-        assert rejected_seen
-
-    def test_replace_op_names_slot(self):
-        res = ExponentialReservoir(capacity=2, rng=1)
-        res.extend(range(2))
-        res.offer("x")
-        ops = res.last_ops
-        assert len(ops) == 1
-        kind, slot = ops[0]
-        assert kind == "replace"
-        assert res.payloads()[slot] == "x"
-
-    def test_compact_op_on_variable_phase(self):
-        """VariableReservoir's phase ejection logs a compact record."""
-        res = VariableReservoir(lam=1e-3, capacity=10, rng=2)
-        saw_compact = False
-        for i in range(200):
-            res.offer(i)
-            if any(op[0] == "compact" for op in res.last_ops):
-                saw_compact = True
-                break
-        assert saw_compact
-
-    def test_ops_cleared_between_offers(self):
-        res = UnbiasedReservoir(3, rng=3)
-        res.offer(1)
-        res.offer(2)
-        assert res.last_ops == [("append", 1)]  # only the latest offer
+    """Edge cases of ``_eject_random``, the compacting storage mutation."""
 
     def test_eject_random_zero_is_noop(self):
         res = UnbiasedReservoir(5, rng=4)
@@ -193,30 +148,36 @@ class TestEjectRandomMultiVictim:
         assert len(evicted) == 5
         assert res.size == 0
 
-    def test_records_compact_for_consumers(self):
-        res = UnbiasedReservoir(20, rng=12)
-        res.extend(range(20))
-        res._eject_random(4)
-        assert ("compact",) in res.last_ops
-
     def test_knn_consumer_resnapshots_after_out_of_band_eject(self):
-        """Counter-based sync: a direct multi-victim ejection must trigger
-        a mirror rebuild at the next prediction."""
+        """A direct multi-victim ejection compacts storage; the classifier
+        must see the shrunken reservoir at its next prediction."""
+        from repro.core.columns import build_resident_columns
         from repro.mining.knn import ReservoirKnnClassifier
         from repro.streams.point import StreamPoint
 
         rng = np.random.default_rng(13)
         res = UnbiasedReservoir(15, rng=13)
         clf = ReservoirKnnClassifier(res, k=1)
-        for i in range(15):
-            clf.observe(StreamPoint(i + 1, rng.normal(size=2), label=i % 2))
-        res._eject_random(10)  # out-of-band: classifier not notified
+        points = [
+            StreamPoint(i + 1, rng.normal(size=2), label=i % 2)
+            for i in range(15)
+        ]
+        for point in points:
+            clf.observe(point)
         probe = StreamPoint(99, np.zeros(2), label=None)
+        clf.predict(probe)  # builds the column buffers
+        res._eject_random(10)  # out-of-band: classifier not notified
         prediction = clf.predict(probe)
-        fresh = ReservoirKnnClassifier(res, k=1)
-        assert prediction == fresh.predict(probe)
-        # The mirror now reflects the shrunken reservoir, not 15 rows.
-        assert clf._rows == res.size
+        # Brute-force 1-NN over the surviving payloads.
+        survivors = res.payloads()
+        nearest = min(survivors, key=lambda p: float(p.values @ p.values))
+        assert prediction == nearest.label
+        # The columns now hold the 5 survivors, not 15 rows.
+        columns = res.resident_columns()
+        expected = build_resident_columns(survivors, res.arrival_indices())
+        assert columns.size == res.size == 5
+        np.testing.assert_array_equal(columns.values, expected.values)
+        np.testing.assert_array_equal(columns.labels, expected.labels)
 
 
 class TestInclusionAtStreamStartAllSamplers:
