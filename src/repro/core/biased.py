@@ -21,12 +21,12 @@ application's ``lambda``, not the other way around.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.bias import ExponentialBias
-from repro.core.reservoir import ReservoirSampler
+from repro.core.reservoir import ReservoirSampler, object_array
 from repro.utils.rng import RngLike
 
 __all__ = ["ExponentialReservoir", "virtual_slot_plan"]
@@ -126,7 +126,7 @@ class ExponentialReservoir(ReservoirSampler):
             self._append(payload)
         return True
 
-    def _offer_block(self, block: List[Any]) -> int:
+    def _offer_block(self, block: Sequence[Any], *extras: np.ndarray) -> int:
         """Closed-form Algorithm 2.1 over a block (same distribution).
 
         Uses the *virtual-slot* formulation of the policy: each arrival is
@@ -138,30 +138,34 @@ class ExponentialReservoir(ReservoirSampler):
         contents, but the virtual form has no sequential dependence, so an
         entire block reduces to one bulk draw of slot indices in which only
         each slot's *last* writer is materialized (intermediate occupants
-        are unobservable). Newly occupied virtual slots are compacted onto
-        the storage tail in first-hit order, matching the per-item append
-        order (:func:`virtual_slot_plan`).
+        are unobservable). The plan (:func:`virtual_slot_plan`) is applied
+        as one scatter: occupied slots ascending, then newly occupied
+        slots onto the storage tail in first-hit order, matching the
+        per-item append order.
+
+        ``extras`` holds one per-arrival array for each declared
+        :attr:`slot_columns` entry.
         """
         b = len(block)
         t0 = self.t
-        s0 = len(self._payloads)
+        s0 = self.size
         victims = self.rng.integers(0, self.capacity, size=b)
         slots, writers, new_writers = virtual_slot_plan(
             victims, s0, self.capacity
         )
-        slots = slots.tolist()
-        for slot, w in zip(slots, writers.tolist()):
-            self._payloads[slot] = block[w]
-            self._arrivals[slot] = t0 + w + 1
-        for w in new_writers.tolist():
-            self._payloads.append(block[w])
-            self._arrivals.append(t0 + w + 1)
-        self._write_rows(slots)
-        self._write_rows(range(s0, len(self._payloads)))
+        appended = len(new_writers)
+        writers = np.concatenate((writers, new_writers))
+        self._scatter(
+            np.concatenate((slots, np.arange(s0, s0 + appended))),
+            object_array(block)[writers],
+            t0 + 1 + writers,
+            *(values[writers] for values in extras),
+            appended=appended,
+        )
         self.t = t0 + b
         self.offers += b
         self.insertions += b
-        self.ejections += b - len(new_writers)
+        self.ejections += b - appended
         return b
 
     def _extra_state(self) -> dict:

@@ -6,10 +6,16 @@ Subclasses implement the paper's specific insertion/ejection policies; this
 module provides the storage, counters, and inspection API common to all of
 them.
 
-Storage layout: two parallel Python lists, ``_payloads`` (arbitrary user
-objects) and ``_arrivals`` (1-based arrival indices). Parallel lists keep
-per-offer overhead minimal for multi-hundred-thousand-point streams while
-still letting callers attach any payload type.
+Storage layout: one capacity-row *slot table* per sampler, owned by this
+module. Every sampler has an object ``payloads`` column, an int64
+``arrivals`` column (1-based arrival indices) and a resident count; a
+family with more per-resident state declares it in the class constant
+:attr:`ReservoirSampler.slot_columns` and the base allocates those columns
+too. Residents occupy rows ``[0, size)``. Families change the table only
+through the storage primitives below (append, overwrite, swap-remove,
+keep-mask compaction, block scatter, wholesale load), which move every
+column together; each column is serialized under its own name as a
+snapshot key.
 
 For :class:`~repro.streams.point.StreamPoint` payloads the sampler also
 owns one columnar copy of its residents (see
@@ -25,7 +31,7 @@ from __future__ import annotations
 import importlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +43,7 @@ __all__ = [
     "ReservoirSampler",
     "SampleEntry",
     "from_state_dict",
+    "object_array",
     "SNAPSHOT_VERSION",
 ]
 
@@ -87,22 +94,19 @@ class ReservoirSampler(ABC):
         self.offers = 0
         self.insertions = 0
         self.ejections = 0
-        self._payloads: List[Any] = []
-        self._arrivals: List[int] = []
-        # Sampler-owned resident columns (see `resident_columns`):
-        # capacity-row (values, labels, arrivals) buffers that every
-        # storage write updates in place, or None until the next read
-        # rebuilds them (first read, or after a wholesale storage change).
-        self._buffers: Optional[Tuple[np.ndarray, ...]] = None
-        # The view handed out for the current storage epoch:
-        # (mutation key, ResidentColumns) or None.
-        self._columns_cache: Optional[Tuple[Tuple, ResidentColumns]] = None
+        self._allocate_slots()
 
     #: Whether the sampler maintains an exponential inclusion design
     #: ``p(x) = c * exp(-lambda * age)`` on its arrival-count axis. Only
     #: these samplers are valid merge inputs (:mod:`repro.core.merge`);
     #: having a ``lam`` attribute alone is not sufficient.
     exponential_design: bool = False
+
+    #: Per-resident columns beyond ``payloads`` and ``arrivals``, as
+    #: ``(name, dtype)`` pairs. The base allocates them in the slot table
+    #: and serializes each under ``name``; the storage primitives take
+    #: their values positionally, in this order.
+    slot_columns: Tuple[Tuple[str, Any], ...] = ()
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -191,15 +195,176 @@ class ReservoirSampler(ABC):
         """Batch-ingestion hook: process ``block`` and return stored count.
 
         The base implementation is the per-item loop; subclasses override
-        it with vectorized fast paths, which must keep the column buffers
-        in step (:meth:`_write_rows`, or :meth:`_drop_columns` after a
-        wholesale rewrite).
+        it with vectorized fast paths that write storage through
+        :meth:`_scatter` (or the per-item primitives).
         """
         stored = 0
         for payload in block:
             if self.offer(payload):
                 stored += 1
         return stored
+
+    # ------------------------------------------------------------------ #
+    # Slot table
+    # ------------------------------------------------------------------ #
+
+    def _allocate_slots(self) -> None:
+        """Empty slot table with ``capacity`` rows per column."""
+        rows = self.capacity
+        self._slots: Dict[str, np.ndarray] = {
+            "payloads": np.empty(rows, dtype=object),
+            "arrivals": np.zeros(rows, dtype=np.int64),
+        }
+        for name, dtype in self.slot_columns:
+            self._slots[name] = np.zeros(rows, dtype=dtype)
+        self._payloads = self._slots["payloads"]
+        self._arrivals = self._slots["arrivals"]
+        self._extras = tuple(self._slots[name] for name, _ in self.slot_columns)
+        self._size = 0
+        # Sampler-owned resident columns (see `resident_columns`):
+        # capacity-row (values, labels, arrivals) buffers that every
+        # storage write updates in place, or None until the next read
+        # rebuilds them (first read, or after a compaction or reload).
+        self._buffers: Optional[Tuple[np.ndarray, ...]] = None
+        # The view handed out for the current storage epoch:
+        # (mutation key, ResidentColumns) or None.
+        self._columns_cache: Optional[Tuple[Tuple, ResidentColumns]] = None
+
+    def _column(self, name: str) -> np.ndarray:
+        """Live view of slot column ``name`` over the residents."""
+        return self._slots[name][: self._size]
+
+    def _entry_at(self, slot: int) -> SampleEntry:
+        """The resident in ``slot``."""
+        return SampleEntry(self._arrivals.item(slot), self._payloads[slot])
+
+    def _append(self, payload: Any, *extras: Any) -> None:
+        """Store a new resident, arrived at ``t`` (reservoir grows by one).
+
+        ``extras`` are its values for :attr:`slot_columns`.
+        """
+        slot = self._size
+        if slot >= self.capacity:
+            raise RuntimeError("reservoir already at capacity; replace instead")
+        self._payloads[slot] = payload
+        self._arrivals[slot] = self.t
+        if extras:
+            for column, value in zip(self._extras, extras):
+                column[slot] = value
+        self._size = slot + 1
+        self.insertions += 1
+        self._write_row(slot)
+
+    def _replace_random(self, payload: Any) -> SampleEntry:
+        """Overwrite a uniformly random resident; return the evicted entry."""
+        if not self._size:
+            raise RuntimeError("cannot replace in an empty reservoir")
+        victim = int(self.rng.integers(self._size))
+        return self._replace_at(victim, payload)
+
+    def _replace_at(self, slot: int, payload: Any, *extras: Any) -> SampleEntry:
+        """Overwrite the resident in ``slot``; return the evicted entry.
+
+        ``extras`` are the newcomer's values for :attr:`slot_columns`.
+        """
+        evicted = self._entry_at(slot)
+        self._payloads[slot] = payload
+        self._arrivals[slot] = self.t
+        if extras:
+            for column, value in zip(self._extras, extras):
+                column[slot] = value
+        self.insertions += 1
+        self.ejections += 1
+        self._write_row(slot)
+        return evicted
+
+    def _remove_at(self, slot: int) -> SampleEntry:
+        """Swap-remove: the last resident moves into ``slot``."""
+        evicted = self._entry_at(slot)
+        last = self._size - 1
+        for column in self._slots.values():
+            column[slot] = column[last]
+        self._payloads[last] = None  # drop the table's reference
+        self._size = last
+        self.ejections += 1
+        if slot != last:
+            self._write_row(slot)
+        return evicted
+
+    def _compact(self, keep: np.ndarray) -> None:
+        """Keep the residents where ``keep`` is true, in storage order."""
+        size = self._size
+        kept = int(np.count_nonzero(keep))
+        for column in self._slots.values():
+            column[:kept] = column[:size][keep]
+        self._payloads[kept:size] = None
+        self._size = kept
+        self.ejections += size - kept
+        self._drop_columns()
+
+    def _scatter(
+        self,
+        dest: np.ndarray,
+        payloads: np.ndarray,
+        arrivals: np.ndarray,
+        *extras: np.ndarray,
+        appended: int = 0,
+    ) -> None:
+        """Block write of the batch kernels: row ``dest[i]`` takes
+        ``payloads[i]``, ``arrivals[i]`` and each ``extras`` column's
+        ``[i]``.
+
+        ``payloads`` is a 1-D object array (:func:`object_array`). The
+        last ``appended`` entries of ``dest`` must be the new tail rows
+        ``size, size + 1, ...``. Counters are the caller's to bump.
+        """
+        self._payloads[dest] = payloads
+        self._arrivals[dest] = arrivals
+        for column, values in zip(self._extras, extras):
+            column[dest] = values
+        self._size += appended
+        self._write_rows(dest)
+
+    def _load(
+        self,
+        payloads: Sequence[Any],
+        arrivals: Sequence[int],
+        *extras: Sequence[Any],
+    ) -> None:
+        """Replace every resident at once (snapshot restore, merge output).
+
+        The table is reallocated at the current ``capacity``, which a
+        family's ``_construct_from_state`` may have set after
+        ``__init__``.
+        """
+        count = len(payloads)
+        if count > self.capacity:
+            raise ValueError(
+                f"{count} residents exceed capacity {self.capacity}"
+            )
+        self._allocate_slots()
+        self._payloads[:count] = object_array(payloads)
+        self._arrivals[:count] = arrivals
+        for column, values in zip(self._extras, extras):
+            column[:count] = values
+        self._size = count
+
+    def _eject_random(self, count: int) -> List[SampleEntry]:
+        """Remove ``count`` uniformly random residents (without replacement)."""
+        size = self._size
+        count = min(int(count), size)
+        if count <= 0:
+            return []
+        if count == 1:
+            # The variable-reservoir scheme ejects exactly one point per
+            # phase, thousands of times per stream.
+            return [self._remove_at(int(self.rng.integers(size)))]
+        victims = self.rng.choice(size, size=count, replace=False)
+        evicted = [self._entry_at(v) for v in victims]
+        keep = np.ones(size, dtype=bool)
+        keep[victims] = False
+        self._compact(keep)
+        return evicted
 
     # ------------------------------------------------------------------ #
     # Column buffers (see `resident_columns`)
@@ -236,68 +401,6 @@ class ReservoirSampler(ABC):
         self._buffers = None
 
     # ------------------------------------------------------------------ #
-    # Storage writes
-    # ------------------------------------------------------------------ #
-
-    def _append(self, payload: Any) -> None:
-        """Store a new resident (reservoir grows by one)."""
-        if len(self._payloads) >= self.capacity:
-            raise RuntimeError("reservoir already at capacity; replace instead")
-        self._payloads.append(payload)
-        self._arrivals.append(self.t)
-        self.insertions += 1
-        self._write_row(len(self._payloads) - 1)
-
-    def _replace_random(self, payload: Any) -> SampleEntry:
-        """Overwrite a uniformly random resident; return the evicted entry."""
-        if not self._payloads:
-            raise RuntimeError("cannot replace in an empty reservoir")
-        victim = int(self.rng.integers(len(self._payloads)))
-        return self._replace_at(victim, payload)
-
-    def _replace_at(self, slot: int, payload: Any) -> SampleEntry:
-        """Overwrite the resident in ``slot``; return the evicted entry."""
-        evicted = SampleEntry(self._arrivals[slot], self._payloads[slot])
-        self._payloads[slot] = payload
-        self._arrivals[slot] = self.t
-        self.insertions += 1
-        self.ejections += 1
-        self._write_row(slot)
-        return evicted
-
-    def _eject_random(self, count: int) -> List[SampleEntry]:
-        """Remove ``count`` uniformly random residents (without replacement)."""
-        size = len(self._payloads)
-        count = min(int(count), size)
-        if count <= 0:
-            return []
-        if count == 1:
-            # Swap-remove fast path: the variable-reservoir scheme ejects
-            # exactly one point per phase, thousands of times per stream.
-            victim = int(self.rng.integers(size))
-            evicted_entry = SampleEntry(
-                self._arrivals[victim], self._payloads[victim]
-            )
-            self._payloads[victim] = self._payloads[-1]
-            self._arrivals[victim] = self._arrivals[-1]
-            self._payloads.pop()
-            self._arrivals.pop()
-            self.ejections += 1
-            self._drop_columns()
-            return [evicted_entry]
-        victims = self.rng.choice(size, size=count, replace=False)
-        evicted = [
-            SampleEntry(self._arrivals[v], self._payloads[v]) for v in victims
-        ]
-        keep = np.ones(size, dtype=bool)
-        keep[victims] = False
-        self._payloads = [p for p, k in zip(self._payloads, keep) if k]
-        self._arrivals = [a for a, k in zip(self._arrivals, keep) if k]
-        self.ejections += count
-        self._drop_columns()
-        return evicted
-
-    # ------------------------------------------------------------------ #
     # Snapshots (checkpoint/restore and cross-process transport)
     # ------------------------------------------------------------------ #
 
@@ -328,21 +431,10 @@ class ReservoirSampler(ABC):
             "ejections": int(self.ejections),
             "rng_state": self.rng.bit_generator.state,
         }
-        state.update(self._storage_state())
+        for name, column in self._slots.items():
+            state[name] = column[: self._size].tolist()
         state.update(self._extra_state())
         return state
-
-    def _storage_state(self) -> Dict[str, Any]:
-        """Resident storage as snapshot fields (hook for bespoke storage)."""
-        return {
-            "payloads": list(self._payloads),
-            "arrivals": [int(a) for a in self._arrivals],
-        }
-
-    def _restore_storage(self, state: Dict[str, Any]) -> None:
-        """Rebuild resident storage from snapshot fields."""
-        self._payloads = list(state["payloads"])
-        self._arrivals = [int(a) for a in state["arrivals"]]
 
     def _extra_state(self) -> Dict[str, Any]:
         """Family-specific snapshot fields (override in subclasses)."""
@@ -369,7 +461,7 @@ class ReservoirSampler(ABC):
     @property
     def size(self) -> int:
         """Current number of residents."""
-        return len(self._payloads)
+        return self._size
 
     @property
     def fill_fraction(self) -> float:
@@ -388,11 +480,11 @@ class ReservoirSampler(ABC):
 
     def payloads(self) -> List[Any]:
         """Copy of the resident payloads (order is storage order)."""
-        return list(self._payloads)
+        return self._payloads[: self._size].tolist()
 
     def arrival_indices(self) -> np.ndarray:
         """1-based arrival indices of the residents, as an int64 array."""
-        return np.asarray(self._arrivals, dtype=np.int64)
+        return self._arrivals[: self._size].copy()
 
     def ages(self) -> np.ndarray:
         """Per-resident age ``t - r`` (0 for a point that just arrived)."""
@@ -400,8 +492,12 @@ class ReservoirSampler(ABC):
 
     def entries(self) -> List[SampleEntry]:
         """Copy of the residents as :class:`SampleEntry` records."""
+        size = self._size
         return [
-            SampleEntry(a, p) for a, p in zip(self._arrivals, self._payloads)
+            SampleEntry(a, p)
+            for a, p in zip(
+                self._arrivals[:size].tolist(), self._payloads[:size].tolist()
+            )
         ]
 
     def _columns_key(self) -> Tuple:
@@ -469,10 +565,10 @@ class ReservoirSampler(ABC):
         return values, labels, arrivals
 
     def __len__(self) -> int:
-        return len(self._payloads)
+        return self.size
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(list(self._payloads))
+        return iter(self.payloads())
 
     def __repr__(self) -> str:
         return (
@@ -519,7 +615,7 @@ def from_state_dict(state: Dict[str, Any]) -> ReservoirSampler:
     obj.offers = int(state["offers"])
     obj.insertions = int(state["insertions"])
     obj.ejections = int(state["ejections"])
-    obj._restore_storage(state)
+    obj._load(*(state[name] for name in obj._slots))
     obj._restore_extra(state)
     obj.rng.bit_generator.state = state["rng_state"]
     return obj
@@ -529,3 +625,10 @@ def _read_only(view: np.ndarray) -> np.ndarray:
     """Mark a buffer view non-writable (its base stays writable)."""
     view.setflags(write=False)
     return view
+
+
+def object_array(items: Sequence[Any]) -> np.ndarray:
+    """1-D object array with one element per item (tuples stay whole)."""
+    if isinstance(items, np.ndarray) and items.ndim == 1:
+        return items if items.dtype == object else items.astype(object)
+    return np.fromiter(items, dtype=object, count=len(items))

@@ -41,7 +41,7 @@ class WindowBuffer(ReservoirSampler):
         """Store the arrival; evict the oldest resident once full (FIFO)."""
         self.t += 1
         self.offers += 1
-        if len(self._payloads) >= self.capacity:
+        if self.is_full:
             # Because fills are sequential and replacements preserve
             # position, the oldest resident is always at slot
             # ``(t - 1) % capacity``.
@@ -175,12 +175,6 @@ class ChainSampler(ReservoirSampler):
     @property
     def size(self) -> int:
         return sum(1 for c in self._chains if c.chain)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self):
-        return iter(self.payloads())
 
     def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
         """Per-slot membership probability ``1/min(t, W)`` inside the

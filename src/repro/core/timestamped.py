@@ -76,6 +76,9 @@ class TimestampedExponentialReservoir(ReservoirSampler):
     timestamps. Plain :meth:`offer` assumes unit spacing.
     """
 
+    #: Wall-clock arrival time of each resident.
+    slot_columns = (("timestamps", np.float64),)
+
     def __init__(
         self, lam_time: float, capacity: int, rng: RngLike = None
     ) -> None:
@@ -85,18 +88,12 @@ class TimestampedExponentialReservoir(ReservoirSampler):
             raise ValueError(f"lam_time must be > 0, got {lam_time}")
         self.lam_time = lam_time
         self.now: float = 0.0
-        self._timestamps: List[float] = []  # parallel to payload slots
 
     def _extra_state(self) -> dict:
-        return {
-            "lam_time": self.lam_time,
-            "now": self.now,
-            "timestamps": [float(s) for s in self._timestamps],
-        }
+        return {"lam_time": self.lam_time, "now": self.now}
 
     def _restore_extra(self, state: dict) -> None:
         self.now = float(state["now"])
-        self._timestamps = [float(s) for s in state["timestamps"]]
 
     @classmethod
     def _construct_from_state(
@@ -127,19 +124,11 @@ class TimestampedExponentialReservoir(ReservoirSampler):
             return
         rounds = int(self.rng.poisson(mean))
         for _ in range(rounds):
-            size = len(self._payloads)
+            size = self.size
             if size == 0:
                 break
             if self.rng.random() < size / self.capacity:
-                victim = int(self.rng.integers(size))
-                self._payloads[victim] = self._payloads[-1]
-                self._arrivals[victim] = self._arrivals[-1]
-                self._timestamps[victim] = self._timestamps[-1]
-                self._payloads.pop()
-                self._arrivals.pop()
-                self._timestamps.pop()
-                self.ejections += 1
-                self._drop_columns()
+                self._remove_at(int(self.rng.integers(size)))
 
     def offer_at(self, payload: Any, timestamp: float) -> bool:
         """Process an arrival stamped ``timestamp`` (non-decreasing)."""
@@ -154,12 +143,10 @@ class TimestampedExponentialReservoir(ReservoirSampler):
         self.offers += 1
         self._run_decay(delta)
         if self.is_full:
-            victim = int(self.rng.integers(len(self._payloads)))
-            self._replace_at(victim, payload)
-            self._timestamps[victim] = timestamp
+            victim = int(self.rng.integers(self.size))
+            self._replace_at(victim, payload, timestamp)
         else:
-            self._append(payload)
-            self._timestamps.append(timestamp)
+            self._append(payload, timestamp)
         return True
 
     def offer(self, payload: Any) -> bool:
@@ -174,7 +161,7 @@ class TimestampedExponentialReservoir(ReservoirSampler):
         Statistically equivalent to offering point by point — the Poisson
         decay-round counts for every inter-arrival gap, the ejection-gate
         coins, and the victim positions are all pre-drawn in bulk, and the
-        per-point work collapses to plain list operations. Timestamps must
+        per-point work collapses to slot-table writes. Timestamps must
         be non-decreasing and start at or after :attr:`now`. Returns the
         stored count (every arrival is stored; see :meth:`extend`).
         """
@@ -203,65 +190,39 @@ class TimestampedExponentialReservoir(ReservoirSampler):
         return len(block)
 
     def _offer_block_at(self, block: List[Any], stamps: np.ndarray) -> None:
-        """Shared batched core: pre-drawn randomness, per-point list ops."""
+        """Shared batched core: pre-drawn randomness, per-point slot ops."""
         deltas = np.diff(stamps, prepend=self.now)
         rounds = self.rng.poisson(self.lam_time * deltas * self.capacity)
         total_rounds = int(rounds.sum())
         gate_u = self.rng.random(total_rounds)
         round_victim_u = self.rng.random(total_rounds)
         insert_victim_u = self.rng.random(len(block))
-        payloads = self._payloads
-        arrivals = self._arrivals
-        timestamps = self._timestamps
         n = self.capacity
-        t = self.t
-        insertions = self.insertions
-        ejections = self.ejections
         cursor = 0  # position in the pre-drawn per-round arrays
-        for k, payload in enumerate(block):
-            t += 1
+        for k, (payload, stamp) in enumerate(zip(block, stamps.tolist())):
+            self.t += 1
             remaining = int(rounds[k])
             while remaining:
-                size = len(payloads)
+                size = self.size
                 if size == 0:
                     cursor += remaining  # unused draws are discarded
                     break
                 if gate_u[cursor] < size / n:
-                    victim = int(round_victim_u[cursor] * size)
-                    payloads[victim] = payloads[-1]
-                    arrivals[victim] = arrivals[-1]
-                    timestamps[victim] = timestamps[-1]
-                    payloads.pop()
-                    arrivals.pop()
-                    timestamps.pop()
-                    ejections += 1
-                    self._drop_columns()
+                    self._remove_at(int(round_victim_u[cursor] * size))
                 cursor += 1
                 remaining -= 1
-            size = len(payloads)
+            size = self.size
             if size >= n:
                 victim = int(insert_victim_u[k] * size)
-                arrivals[victim] = t
-                payloads[victim] = payload
-                timestamps[victim] = float(stamps[k])
-                insertions += 1
-                ejections += 1
-                self._write_row(victim)
+                self._replace_at(victim, payload, stamp)
             else:
-                payloads.append(payload)
-                arrivals.append(t)
-                timestamps.append(float(stamps[k]))
-                insertions += 1
-                self._write_row(size)
-        self.t = t
+                self._append(payload, stamp)
         self.offers += len(block)
-        self.insertions = insertions
-        self.ejections = ejections
         self.now = float(stamps[-1])
 
     def timestamps(self) -> np.ndarray:
         """Wall-clock timestamps of the residents."""
-        return np.asarray(self._timestamps, dtype=np.float64)
+        return self._column("timestamps").copy()
 
     def time_ages(self) -> np.ndarray:
         """Per-resident elapsed time ``now - timestamp``."""

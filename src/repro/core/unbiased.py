@@ -21,7 +21,7 @@ from typing import Any, List, Optional
 import numpy as np
 
 from repro.core.biased import virtual_slot_plan
-from repro.core.reservoir import ReservoirSampler
+from repro.core.reservoir import ReservoirSampler, object_array
 from repro.utils.rng import RngLike
 
 
@@ -47,7 +47,7 @@ class UnbiasedReservoir(ReservoirSampler):
         """Algorithm R step: accept with probability ``n/t``, uniform victim."""
         self.t += 1
         self.offers += 1
-        if len(self._payloads) < self.capacity:
+        if self.size < self.capacity:
             self._append(payload)
             return True
         if self.rng.random() < self.capacity / self.t:
@@ -66,7 +66,7 @@ class UnbiasedReservoir(ReservoirSampler):
         """
         total = len(block)
         idx = 0
-        while idx < total and len(self._payloads) < self.capacity:
+        while idx < total and self.size < self.capacity:
             self.t += 1
             self.offers += 1
             self._append(block[idx])
@@ -83,11 +83,12 @@ class UnbiasedReservoir(ReservoirSampler):
         if m:
             victims = self.rng.integers(0, n, size=m)
             slots, last, _ = virtual_slot_plan(victims, n, n)
-            slots = slots.tolist()
-            for slot, w in zip(slots, accepted[last].tolist()):
-                self._payloads[slot] = block[idx + w]
-                self._arrivals[slot] = t0 + w + 1
-            self._write_rows(slots)
+            writers = accepted[last]
+            self._scatter(
+                slots,
+                object_array([block[idx + w] for w in writers.tolist()]),
+                t0 + 1 + writers,
+            )
             self.insertions += m
             self.ejections += m
         self.t = t0 + b
@@ -156,7 +157,7 @@ class SkipUnbiasedReservoir(ReservoirSampler):
         """Algorithm R distribution via pre-drawn geometric skips."""
         self.t += 1
         self.offers += 1
-        if len(self._payloads) < self.capacity:
+        if self.size < self.capacity:
             self._append(payload)
             return True
         if self._skip < 0:
@@ -179,7 +180,7 @@ class SkipUnbiasedReservoir(ReservoirSampler):
         """
         total = len(block)
         idx = 0
-        while idx < total and len(self._payloads) < self.capacity:
+        while idx < total and self.size < self.capacity:
             self.t += 1
             self.offers += 1
             self._append(block[idx])
@@ -193,12 +194,8 @@ class SkipUnbiasedReservoir(ReservoirSampler):
                 self._skip = self._draw_skip(t0 + pos + 1)
             if pos + self._skip < b:
                 pos += self._skip
-                slot = int(self.rng.integers(len(self._payloads)))
-                self._payloads[slot] = block[idx + pos]
-                self._arrivals[slot] = t0 + pos + 1
-                self._write_row(slot)
-                self.insertions += 1
-                self.ejections += 1
+                self.t = t0 + pos + 1  # the accepted arrival
+                self._replace_random(block[idx + pos])
                 stored += 1
                 self._skip = -1
                 pos += 1

@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.reservoir import from_state_dict
+from repro.core.reservoir import from_state_dict, object_array
 from repro.persist.checkpoint import (
     list_checkpoints,
     load_latest_checkpoint,
@@ -460,12 +460,10 @@ class DurableReservoir:
     def _apply_records(self, w: int, result: ScanResult) -> None:
         """Feed replayed records through the sampler's real ingest path."""
         if self._sharded:
-            from repro.shard.worker import _object_array
-
             worker = self.sampler._workers[w]
             for _seq, (globs, payloads) in result.records:
                 worker.ingest(
-                    _object_array(payloads),
+                    object_array(payloads),
                     np.asarray(globs, dtype=np.int64),
                 )
                 self._sharded_max_glob = max(

@@ -11,7 +11,9 @@ Public surface:
 * :class:`RoundRobinPartitioner` / :class:`HashByKeyPartitioner` — stream
   routing policies (:mod:`repro.shard.partition`).
 * :class:`ArrayExponentialShard` / :class:`ShardWorker` — the local
-  samplers and their global-axis bookkeeping (:mod:`repro.shard.worker`).
+  samplers and their global-axis bookkeeping (:mod:`repro.shard.worker`):
+  an Algorithm 2.1 reservoir whose slot table also records each
+  resident's global arrival index.
 """
 
 from repro.shard.coordinator import ShardedReservoir

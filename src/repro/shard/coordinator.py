@@ -24,9 +24,9 @@ Theorem 3.3 thinning degenerates to a pure union of at most
 the whole sharded sample. Folding to a *smaller* capacity exercises the
 genuine thinning path.
 
-The ``W`` workers live in-process and are fed in turn; the speedup over
-the serial ``offer_many`` path comes from the workers' scatter kernel,
-not from parallelism.
+The ``W`` workers live in-process and are fed in turn, not in parallel.
+Each exponential worker runs the same Algorithm 2.1 block kernel as
+serial ``offer_many``.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ import numpy as np
 
 from repro.core.columns import ResidentColumns, build_resident_columns
 from repro.core.merge import fold_exponential_reservoirs
-from repro.core.reservoir import SNAPSHOT_VERSION, SampleEntry
+from repro.core.reservoir import SNAPSHOT_VERSION, SampleEntry, object_array
 from repro.core.space_constrained import SpaceConstrainedReservoir
 from repro.shard.partition import (
     HashByKeyPartitioner,
     Partitioner,
     RoundRobinPartitioner,
 )
-from repro.shard.worker import ArrayExponentialShard, ShardWorker, _object_array
+from repro.shard.worker import ArrayExponentialShard, ShardWorker
 from repro.utils.rng import RngLike, as_generator, require_probability
 
 __all__ = ["ShardedReservoir", "_GlobalAxisView"]
@@ -95,8 +95,9 @@ class ShardedReservoir:
         2.1); for ``family="space_constrained"`` it is required and sets
         the insertion gate ``p_in = capacity * lam``.
     family:
-        Local sampler family: ``"exponential"`` (Algorithm 2.1 via the
-        scatter-kernel shard) or ``"space_constrained"`` (Algorithm 3.1).
+        Local sampler family: ``"exponential"`` (Algorithm 2.1, as
+        :class:`~repro.shard.worker.ArrayExponentialShard`) or
+        ``"space_constrained"`` (Algorithm 3.1).
     partitioner:
         A :class:`~repro.shard.partition.Partitioner`; defaults to
         round-robin. Its worker count must equal ``workers``.
@@ -188,8 +189,8 @@ class ShardedReservoir:
                 )
             self._workers.append(ShardWorker(sampler, family))
 
-        self._buf_payloads: List[List[Any]] = [[] for _ in range(workers)]
-        self._buf_globals: List[List[int]] = [[] for _ in range(workers)]
+        self._pending_items: List[List[Any]] = [[] for _ in range(workers)]
+        self._pending_globals: List[List[int]] = [[] for _ in range(workers)]
         # Cached union-resident columnar view, keyed by stream position
         # (see `resident_columns`).
         self._columns_cache: Optional[tuple] = None
@@ -214,9 +215,9 @@ class ShardedReservoir:
         """Route one arrival to its shard (buffered; see ``flush_size``)."""
         self.t += 1
         w = self.partitioner.assign(self.t, payload)
-        self._buf_payloads[w].append(payload)
-        self._buf_globals[w].append(self.t)
-        if len(self._buf_payloads[w]) >= self.flush_size:
+        self._pending_items[w].append(payload)
+        self._pending_globals[w].append(self.t)
+        if len(self._pending_items[w]) >= self.flush_size:
             self._flush_worker(w)
         return True
 
@@ -239,7 +240,7 @@ class ShardedReservoir:
         self.flush()
         t0 = self.t
         ids = self.partitioner.assign_block(t0, block)
-        arr = _object_array(block)
+        arr = object_array(block)
         globs = t0 + 1 + np.arange(b, dtype=np.int64)
         self.t = t0 + b
         for w in range(self.workers):
@@ -255,14 +256,14 @@ class ShardedReservoir:
     def flush(self) -> None:
         """Dispatch every worker's buffered per-item offers."""
         for w in range(self.workers):
-            if self._buf_payloads[w]:
+            if self._pending_items[w]:
                 self._flush_worker(w)
 
     def _flush_worker(self, w: int) -> None:
-        payloads = _object_array(self._buf_payloads[w])
-        globs = np.asarray(self._buf_globals[w], dtype=np.int64)
-        self._buf_payloads[w] = []
-        self._buf_globals[w] = []
+        payloads = object_array(self._pending_items[w])
+        globs = np.asarray(self._pending_globals[w], dtype=np.int64)
+        self._pending_items[w] = []
+        self._pending_globals[w] = []
         self._dispatch(w, payloads, globs)
 
     def _dispatch(
@@ -331,7 +332,8 @@ class ShardedReservoir:
 
     @property
     def size(self) -> int:
-        return len(self.entries())
+        """Residents across all shards (flushes pending offers)."""
+        return sum(worker.sampler.size for worker in self._current_workers())
 
     @property
     def is_full(self) -> bool:

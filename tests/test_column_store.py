@@ -50,8 +50,8 @@ def _folded(seed):
 
 
 #: name -> (factory(seed), whether `_eject_random` is a valid operation).
-#: Families with per-resident side arrays (timestamps, probabilities) or
-#: storage outside the base lists are not ejected from directly.
+#: Chain samplers keep their residents inside the chains, not in slots,
+#: so they are not ejected from directly.
 FAMILIES = {
     "exponential": (lambda s: ExponentialReservoir(capacity=20, rng=s), True),
     "space_constrained": (
@@ -68,11 +68,11 @@ FAMILIES = {
         lambda s: TimestampedExponentialReservoir(
             lam_time=0.02, capacity=20, rng=s
         ),
-        False,
+        True,
     ),
     "time_decay": (
         lambda s: TimeDecayReservoir(lam_time=0.02, capacity=20, rng=s),
-        False,
+        True,
     ),
     "window_buffer": (lambda s: WindowBuffer(20, rng=s), True),
     "chain": (lambda s: ChainSampler(10, window=40, rng=s), False),
@@ -80,9 +80,9 @@ FAMILIES = {
         lambda s: GeneralBiasSampler(
             ExponentialBias(0.05), target_size=12, rng=s
         ),
-        False,
+        True,
     ),
-    "array_shard": (lambda s: ArrayExponentialShard(capacity=20, rng=s), False),
+    "array_shard": (lambda s: ArrayExponentialShard(capacity=20, rng=s), True),
     "folded": (_folded, True),
 }
 
@@ -115,6 +115,17 @@ def assert_matches_rebuild(sampler):
     assert sampler.resident_columns() is columns
 
 
+def assert_slot_columns_aligned(sampler):
+    """Every declared column has ``size`` rows; snapshots round-trip."""
+    state = sampler.state_dict()
+    if not isinstance(sampler, ChainSampler):
+        names = ["payloads", "arrivals"]
+        names += [name for name, _ in sampler.slot_columns]
+        for name in names:
+            assert len(state[name]) == sampler.size, name
+    assert from_state_dict(state).state_dict() == state
+
+
 def _drive(sampler, rng, ejectable, steps=120):
     """Random interleaving of every ingestion path plus one restore."""
     index = 1
@@ -138,6 +149,7 @@ def _drive(sampler, rng, ejectable, steps=120):
             sampler._eject_random(int(rng.integers(2, sampler.size + 1)))
         if step == restore_at:
             sampler = from_state_dict(sampler.state_dict())
+        assert_slot_columns_aligned(sampler)
         # Reading most steps keeps the buffers live through the writes;
         # skipped reads let several storage changes accumulate unread.
         if rng.random() < 0.7:

@@ -89,15 +89,14 @@ class TestStateChecker:
     def test_detects_capacity_overflow(self):
         res = UnbiasedReservoir(10, rng=0)
         res.extend(range(20))
-        res._payloads.append("extra")  # corrupt the state on purpose
-        res._arrivals.append(res.t)
+        res.capacity = 5  # corrupt the state on purpose: size 10 > 5
         violations = check_state_invariants(res)
         assert any("capacity" in v for v in violations)
 
     def test_detects_bad_arrival_index(self):
         res = UnbiasedReservoir(10, rng=0)
         res.extend(range(20))
-        res._arrivals[0] = 999  # out of [1, t]
+        res._column("arrivals")[0] = 999  # out of [1, t]
         violations = check_state_invariants(res)
         assert any("arrival indices" in v for v in violations)
 
