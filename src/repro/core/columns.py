@@ -87,7 +87,7 @@ def build_resident_columns(
                 "resident columns require StreamPoint payloads, got "
                 f"{type(first).__name__}"
             )
-        values = np.array([p.values for p in payloads], dtype=np.float64)
+        values = np.stack([p.values for p in payloads])
         labels = np.fromiter(
             (-1 if p.label is None else p.label for p in payloads),
             dtype=np.int64,

@@ -389,11 +389,27 @@ class ReservoirSampler(ABC):
         labels[slot] = -1 if point.label is None else point.label
         arrivals[slot] = self._arrivals[slot]
 
-    def _write_rows(self, slots: Iterable[int]) -> None:
-        """:meth:`_write_row` over the slots a batch kernel wrote."""
-        if self._buffers is not None:
-            for slot in slots:
-                self._write_row(slot)
+    def _write_rows(self, slots: np.ndarray) -> None:
+        """Block form of :meth:`_write_row` over the slots a batch kernel
+        wrote, read back from storage after the scatter."""
+        buffers = self._buffers
+        if buffers is None or not len(slots):
+            return
+        values, labels, arrivals = buffers
+        points = self._payloads[slots].tolist()
+        width = values.shape[1:]
+        for point in points:
+            if not isinstance(point, StreamPoint) or point.values.shape != width:
+                # As in `_write_row`: the next read rebuilds and raises.
+                self._buffers = None
+                return
+        values[slots] = np.stack([point.values for point in points])
+        labels[slots] = np.fromiter(
+            (-1 if point.label is None else point.label for point in points),
+            dtype=np.int64,
+            count=len(points),
+        )
+        arrivals[slots] = self._arrivals[slots]
 
     def _drop_columns(self) -> None:
         """Storage was compacted or rewritten wholesale: the next

@@ -313,20 +313,32 @@ class ShardedReservoir:
 
         Shard-aware analogue of
         :meth:`~repro.core.reservoir.ReservoirSampler.resident_columns`:
-        pending per-item buffers are flushed (via :meth:`entries`) and the
-        materialization is cached against the facade's stream position —
-        worker state is a pure function of the offers ingested, so with no
-        new offers the union residents cannot have changed. Requires
-        :class:`~repro.streams.point.StreamPoint` payloads.
+        pending per-item buffers are flushed, each worker contributes its
+        ``(values, labels, global_arrivals)`` columns
+        (:meth:`~repro.shard.worker.ShardWorker.resident_columns`), and
+        the concatenation — fresh read-only arrays — is cached against the
+        facade's stream position: worker state is a pure function of the
+        offers ingested, so with no new offers the union residents cannot
+        have changed. Requires :class:`~repro.streams.point.StreamPoint`
+        payloads.
         """
         cached = self._columns_cache
         if cached is not None and cached[0] == self.t:
             return cached[1]
-        entries = self.entries()
-        columns = build_resident_columns(
-            [e.payload for e in entries],
-            np.asarray([e.arrival for e in entries], dtype=np.int64),
-        )
+        parts = [
+            part
+            for part in (w.resident_columns() for w in self._current_workers())
+            if len(part[2])
+        ]
+        if parts:
+            values, labels, arrivals = (
+                np.concatenate(column) for column in zip(*parts)
+            )
+            for column in (values, labels, arrivals):
+                column.setflags(write=False)
+            columns = ResidentColumns(values, labels, arrivals)
+        else:
+            columns = build_resident_columns([], np.empty(0, np.int64))
         self._columns_cache = (self.t, columns)
         return columns
 

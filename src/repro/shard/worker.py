@@ -18,6 +18,11 @@ Two local sampler families are supported:
   payloads are wrapped as ``(global_index, payload)`` pairs; the wrapper
   unwraps them at inspection/fold time.
 
+Either way a worker hands the coordinator's union view its residents as
+``(values, labels, global_arrivals)`` columns
+(:meth:`ShardWorker.resident_columns`), with no per-resident entry
+objects.
+
 A worker snapshots as
 :meth:`~repro.core.reservoir.ReservoirSampler.state_dict` plus its family,
 which is how the sharded facade checkpoints and restores it.
@@ -30,6 +35,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.biased import ExponentialReservoir
+from repro.core.columns import build_resident_columns
 from repro.core.reservoir import from_state_dict
 
 __all__ = ["ArrayExponentialShard", "ShardWorker"]
@@ -117,6 +123,23 @@ class ShardWorker:
                 )
             ]
         return [tuple(entry.payload) for entry in self.sampler.entries()]
+
+    def resident_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Residents as ``(values, labels, global_arrivals)`` columns.
+
+        An exponential worker reads its sampler's own column buffers
+        (views, valid until the next ingest); a space-constrained worker
+        builds fresh columns from its ``(global_index, point)`` payloads.
+        Requires :class:`~repro.streams.point.StreamPoint` payloads.
+        """
+        if self.family == "exponential":
+            columns = self.sampler.resident_columns()
+            return columns.values, columns.labels, self.sampler.global_arrivals()
+        pairs = self.sampler.payloads()
+        columns = build_resident_columns(
+            [point for _, point in pairs], [g for g, _ in pairs]
+        )
+        return columns.values, columns.labels, columns.arrivals
 
     def state_dict(self) -> Dict[str, Any]:
         return {"family": self.family, "sampler": self.sampler.state_dict()}

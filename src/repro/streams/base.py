@@ -86,10 +86,16 @@ class StreamGenerator(ABC):
                     f"{type(self).__name__}._generate_chunk returned shape "
                     f"{values.shape}, expected {(size, self.dimensions)}"
                 )
-            for i in range(size):
-                emitted += 1
-                label = None if labels is None else int(labels[i])
-                yield StreamPoint(emitted, values[i], label)
+            # One float64 read-only chunk: each point's row view then
+            # passes the constructor's checks without a copy.
+            values = np.asarray(values, dtype=np.float64)
+            values.setflags(write=False)
+            row_labels = [None] * size if labels is None else labels.tolist()
+            for i, (row, label) in enumerate(
+                zip(values, row_labels), start=emitted + 1
+            ):
+                yield StreamPoint(i, row, label)
+            emitted += size
 
     def __len__(self) -> int:
         return self.length

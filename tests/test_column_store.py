@@ -211,6 +211,39 @@ class TestBufferLifecycle:
         with pytest.raises(AttributeError):
             res.resident_columns()
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["not a point", StreamPoint(999, np.zeros(DIMS + 1))],
+        ids=["non_streampoint", "wrong_width"],
+    )
+    @pytest.mark.parametrize("factory", [
+        lambda: ExponentialReservoir(capacity=5, rng=6),
+        lambda: UnbiasedReservoir(5, rng=6),
+    ], ids=["alg21", "algorithm_r"])
+    def test_block_scatter_of_unrepresentable_payload_drops_buffers(
+        self, factory, bad
+    ):
+        """A block write the buffers cannot hold drops them; the next read
+        fails the way a rebuild over the same payloads fails."""
+        rng = np.random.default_rng(6)
+        res = factory()
+        res.offer_many(_points(rng, 1, 5))
+        res.resident_columns()
+        assert res._buffers is not None
+        # Last in the block, so the scatter stores it under either kernel
+        # (Algorithm R may still reject it; keep offering until stored).
+        index = 6
+        while not any(p is bad for p in res.payloads()):
+            res.offer_many(_points(rng, index, 3) + [bad])
+            index += 3
+        assert res._buffers is None
+        with pytest.raises(Exception) as rebuild:
+            build_resident_columns(res.payloads(), res.arrival_indices())
+        with pytest.raises(type(rebuild.value)):
+            res.resident_columns()
+        if isinstance(bad, str):
+            assert isinstance(rebuild.value, AttributeError)
+
     def test_empty_reservoir_has_empty_columns(self):
         res = UnbiasedReservoir(5, rng=4)
         columns = res.resident_columns()
