@@ -15,18 +15,35 @@ The view requires :class:`~repro.streams.point.StreamPoint` payloads (the
 same contract the estimators already impose); offering any other payload
 type makes :func:`build_resident_columns` raise ``AttributeError``, the
 same error the per-point path raises on ``payload.values``.
+
+Derived arrays. Every read between two storage changes sees the same
+residents, so whatever a reader derives from them is the same for all
+readers. A view therefore carries a private memo, reached through
+:meth:`ResidentColumns.derived`. It may hold only values fixed by the
+view's three columns, the sampler that owns the view, and what the key
+names: the Horvitz–Thompson horizon designs of
+:func:`repro.queries.estimator.horizon_design` (keyed by stream position
+and horizon) and the labeled rows and squared norms of the
+nearest-neighbor search (:mod:`repro.mining.knn`). The memo lives
+exactly one storage epoch, because the view does: samplers cache the
+view against their storage key and the sharded facade against its stream
+position, so the next insertion, ejection, compaction or restore hands
+out a new view with an empty memo, and the old memo is freed with the
+old view. No invalidation code exists or is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Hashable, List, TypeVar
 
 import numpy as np
 
 from repro.streams.point import StreamPoint
 
 __all__ = ["ResidentColumns", "build_resident_columns"]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -51,17 +68,36 @@ class ResidentColumns:
     memory with the sampler's column buffers. It is valid until the next
     storage change (the next insertion, ejection or compaction), after
     which its rows may hold other residents. Read it immediately, or copy
-    it to keep a snapshot.
+    it to keep a snapshot. The same holds for everything cached through
+    :meth:`derived`.
     """
 
     values: np.ndarray
     labels: np.ndarray
     arrivals: np.ndarray
+    _derived: Dict[Hashable, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
         """Number of residents in the view."""
         return int(self.arrivals.shape[0])
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The value memoized under ``key``, built by ``build()`` on the
+        first request in this view's storage epoch.
+
+        ``build`` must depend only on the columns, their sampler and what
+        ``key`` names (see the module docstring). The value is shared by
+        every reader of the view; only the module that owns ``key`` may
+        change it.
+        """
+        memo = self._derived
+        if key in memo:
+            return memo[key]
+        value = memo[key] = build()
+        return value
 
 
 def build_resident_columns(

@@ -26,6 +26,16 @@ struct-of-arrays resident view and the queries' vectorized
 pays one payload materialization and zero Python-per-resident work. The
 per-point path survives as the generic fallback for custom queries (and
 as the reference the columnar path is tested against, bit for bit).
+
+Every builder query's coefficient is the horizon indicator, so what an
+estimate needs from the sample apart from ``h`` — the residents inside
+the horizon, their arrival indices, feature rows and labels, and their
+inclusion probabilities — depends only on the stored residents, the
+stream position and the horizon. :func:`horizon_design` derives that
+once per ``(t, horizon)`` and memoizes it on the resident view, so the
+queries of a checkpoint round (and the numerator and denominator of a
+ratio query, the group-by estimator and the histogram estimators) share
+one design, and fresh estimators over the same sampler share it too.
 """
 
 from __future__ import annotations
@@ -35,10 +45,106 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.core.columns import ResidentColumns
 from repro.core.reservoir import ReservoirSampler
 from repro.queries.spec import LinearQuery, RatioQuery
 
-__all__ = ["QueryEstimator", "EstimateResult"]
+__all__ = ["QueryEstimator", "EstimateResult", "HorizonDesign", "horizon_design"]
+
+#: Memo key of the horizon designs on a resident view.
+_DESIGNS = "queries.horizon_designs"
+
+
+@dataclass(frozen=True)
+class HorizonDesign:
+    """The Horvitz–Thompson design of one horizon at one stream position.
+
+    Attributes
+    ----------
+    support:
+        Storage positions of the residents inside the horizon, ascending.
+    arrivals, values, labels:
+        Those residents' arrival indices, feature rows and labels.
+    coeffs:
+        Their query coefficients ``c(r, t)``: the horizon indicator, so
+        all ones.
+    probs:
+        Their inclusion probabilities ``p(r, t)`` under the sampler's
+        model.
+
+    Every array is read-only: one design is shared by every estimate
+    made in its storage epoch.
+    """
+
+    support: np.ndarray
+    arrivals: np.ndarray
+    values: np.ndarray
+    labels: np.ndarray
+    coeffs: np.ndarray
+    probs: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Number of residents inside the horizon."""
+        return int(self.support.shape[0])
+
+
+def horizon_design(
+    sampler: ReservoirSampler,
+    columns: ResidentColumns,
+    t: int,
+    horizon: Optional[int],
+) -> HorizonDesign:
+    """The design of the residents inside ``horizon`` at stream position
+    ``t`` (``horizon=None``: every resident).
+
+    ``columns`` must be ``sampler.resident_columns()``. The design is
+    memoized on that view, so it is built once per storage epoch and
+    ``(t, horizon)``, and the sampler's ``1 <= r <= t`` check runs once
+    per design. The memo is also keyed on ``sampler.t``: an offer can
+    change the inclusion model without changing storage (a
+    :class:`~repro.core.variable.VariableReservoir` phase change that
+    ejects nobody). It keeps one stream position's designs at a time, so
+    a long-lived view read at many positions stays small.
+    """
+    designs = columns.derived(_DESIGNS, dict)
+    key = (sampler.t, t, horizon)
+    design = designs.get(key)
+    if design is None:
+        if designs and next(iter(designs))[:2] != key[:2]:
+            designs.clear()
+        design = designs[key] = _build_design(sampler, columns, t, horizon)
+    return design
+
+
+def _build_design(
+    sampler: ReservoirSampler,
+    columns: ResidentColumns,
+    t: int,
+    horizon: Optional[int],
+) -> HorizonDesign:
+    """Gather one :class:`HorizonDesign` from the resident view."""
+    if horizon is None:
+        support = np.arange(columns.size)
+    else:
+        support = np.flatnonzero((t - columns.arrivals) < horizon)
+    arrivals = columns.arrivals[support]
+    probs = (
+        sampler.inclusion_probabilities(arrivals, t)
+        if support.size
+        else np.empty(0)
+    )
+    parts = (
+        support,
+        arrivals,
+        columns.values[support],
+        columns.labels[support],
+        np.ones(support.size),
+        np.asarray(probs, dtype=np.float64),
+    )
+    for array in parts:
+        array.setflags(write=False)
+    return HorizonDesign(*parts)
 
 
 @dataclass(frozen=True)
@@ -108,19 +214,13 @@ class QueryEstimator:
             # through the per-point path — and value-touching ones raise
             # the same AttributeError there, as before.
             return self._sample_parts_reference(query, t)
-        if columns.size == 0:
+        design = horizon_design(self.sampler, columns, t, query.horizon)
+        if design.size == 0:
             return None
-        coeffs = query.coefficients(columns.arrivals, t)
-        support = np.flatnonzero(coeffs)
-        if support.size == 0:
-            return None
-        arrivals = columns.arrivals[support]
-        coeffs = coeffs[support]
         values = query.values_matrix(
-            columns.values[support], columns.labels[support], arrivals
+            design.values, design.labels, design.arrivals
         )
-        probs = self.sampler.inclusion_probabilities(arrivals, t)
-        return coeffs, values, probs
+        return design.coeffs, values, design.probs
 
     def _sample_parts_reference(self, query: LinearQuery, t: int):
         """Per-point reference path: one ``query.value`` call per resident.

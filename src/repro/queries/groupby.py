@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, Hashable, Optional
 import numpy as np
 
 from repro.core.reservoir import ReservoirSampler
+from repro.queries.estimator import horizon_design
 from repro.queries.spec import LinearQuery, RatioQuery
 from repro.streams.point import StreamPoint
 
@@ -141,38 +142,33 @@ class GroupByEstimator:
     ):
         """Vectorized accumulation for the default label grouping.
 
-        One pass over the columnar resident view: per-resident HT weights
-        and query values come from the vectorized kernels, and per-group
-        totals are masked reductions over the label column. Group keys
-        match the generic path (``-1`` decodes back to ``None``).
+        One pass over the columnar resident view: the horizon's shared
+        design (:func:`~repro.queries.estimator.horizon_design`) supplies
+        the per-resident HT weights, the vectorized kernels the query
+        values, and per-group totals are masked reductions over the label
+        column. Group keys match the generic path (``-1`` decodes back to
+        ``None``).
         """
         columns = self.sampler.resident_columns()
         if columns.size == 0:
             return None, 0.0
-        coeffs = numerator.coefficients(columns.arrivals, t)
-        support = np.flatnonzero(coeffs)
-        if support.size == 0:
+        design = horizon_design(self.sampler, columns, t, numerator.horizon)
+        if design.size == 0:
             return {}, 0.0
-        arrivals = columns.arrivals[support]
-        probs = self.sampler.inclusion_probabilities(arrivals, t)
-        weights = coeffs[support] / probs
+        weights = design.coeffs / design.probs
+        labels = design.labels
         num_rows = (
-            numerator.values_matrix(
-                columns.values[support], columns.labels[support], arrivals
-            )
+            numerator.values_matrix(design.values, labels, design.arrivals)
             * weights[:, None]
         )
         den_rows = None
         if denominator is not None:
             den_rows = (
                 denominator.values_matrix(
-                    columns.values[support],
-                    columns.labels[support],
-                    arrivals,
+                    design.values, labels, design.arrivals
                 )[:, 0]
                 * weights
             )
-        labels = columns.labels[support]
         groups: Dict[Hashable, Dict[str, Any]] = {}
         for lab in np.unique(labels):
             mask = labels == lab

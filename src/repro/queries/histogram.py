@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.reservoir import ReservoirSampler
+from repro.queries.estimator import horizon_design
 from repro.queries.exact import StreamHistory
 
 __all__ = [
@@ -64,25 +65,17 @@ def _weighted_values(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-resident (value, HT weight) restricted to the horizon.
 
-    Runs over the sampler's cached columnar resident view — one fancy
-    index into the values matrix instead of a Python pass over the
+    Reads the horizon's shared design
+    (:func:`~repro.queries.estimator.horizon_design`) on the sampler's
+    cached columnar resident view instead of a Python pass over the
     payloads.
     """
-    t = sampler.t
-    columns = sampler.resident_columns()
-    arrivals = columns.arrivals
-    if arrivals.size == 0:
+    design = horizon_design(
+        sampler, sampler.resident_columns(), sampler.t, horizon
+    )
+    if design.size == 0:
         return np.empty(0), np.empty(0)
-    if horizon is not None:
-        keep = np.flatnonzero((t - arrivals) < horizon)
-        if keep.size == 0:
-            return np.empty(0), np.empty(0)
-    else:
-        keep = np.arange(arrivals.size)
-    arrivals = arrivals[keep]
-    values = columns.values[keep, dim]
-    weights = 1.0 / sampler.inclusion_probabilities(arrivals, t)
-    return values, weights
+    return design.values[:, dim], 1.0 / design.probs
 
 
 def estimate_histogram(
