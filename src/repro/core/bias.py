@@ -36,6 +36,14 @@ __all__ = [
 ]
 
 
+def _require_not_after(r: np.ndarray, t: int) -> np.ndarray:
+    """Arrival indices ``r`` as float64, checked against ``r <= t``."""
+    r = np.asarray(r, dtype=np.float64)
+    if np.any(r > t):
+        raise ValueError(f"require r <= t, got r={r.max():.15g}, t={t}")
+    return r
+
+
 class BiasFunction(ABC):
     """Interface for temporal bias functions ``f(r, t)``.
 
@@ -148,7 +156,7 @@ class ExponentialBias(BiasFunction):
 
     def weights(self, r: np.ndarray, t: int) -> np.ndarray:
         """Vectorized closed form."""
-        r = np.asarray(r, dtype=np.float64)
+        r = _require_not_after(r, t)
         return np.exp(-self.lam * (t - r))
 
     def max_reservoir_requirement(self, t: int) -> float:
@@ -249,7 +257,7 @@ class PolynomialBias(BiasFunction):
 
     def weights(self, r: np.ndarray, t: int) -> np.ndarray:
         """Vectorized closed form."""
-        r = np.asarray(r, dtype=np.float64)
+        r = _require_not_after(r, t)
         return 1.0 / (t - r + 1.0) ** self.alpha
 
     def max_reservoir_requirement(self, t: int) -> float:

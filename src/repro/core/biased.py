@@ -20,7 +20,6 @@ application's ``lambda``, not the other way around.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +28,7 @@ from repro.core.bias import ExponentialBias
 from repro.core.reservoir import ReservoirSampler, object_array
 from repro.utils.rng import RngLike
 
-__all__ = ["ExponentialReservoir", "virtual_slot_plan"]
+__all__ = ["ExponentialDesign", "ExponentialReservoir", "virtual_slot_plan"]
 
 _NO_WRITERS = np.empty(0, dtype=np.int64)
 
@@ -70,7 +69,22 @@ def virtual_slot_plan(
     return slots, last[slots], last[new_slots[order]]
 
 
-class ExponentialReservoir(ReservoirSampler):
+class ExponentialDesign:
+    """The exponential inclusion law shared by Algorithms 2.1 and 3.1 and
+    Theorem 3.3: ``p(r, t) = p_in * exp(-lambda (t - r))``.
+
+    Mixed in ahead of the sampler base; the host provides ``p_in`` (1 for
+    Algorithm 2.1) and ``lam``.
+    """
+
+    p_in: float
+    lam: float
+
+    def _inclusion_law(self, r: np.ndarray, t: int) -> np.ndarray:
+        return self.p_in * np.exp(-self.lam * (t - r))
+
+
+class ExponentialReservoir(ExponentialDesign, ReservoirSampler):
     """Biased reservoir sampler implementing Algorithm 2.1.
 
     Parameters
@@ -98,6 +112,9 @@ class ExponentialReservoir(ReservoirSampler):
     """
 
     exponential_design = True
+
+    #: Every arrival is inserted (Theorem 2.2 is Theorem 3.1 at p_in = 1).
+    p_in = 1.0
 
     def __init__(
         self,
@@ -178,23 +195,6 @@ class ExponentialReservoir(ReservoirSampler):
     def _construct_from_state(cls, state: dict) -> "ExponentialReservoir":
         # The first positional parameter is ``lam``; capacity must be named.
         return cls(capacity=state["capacity"])
-
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
-        """Theorem 2.2: ``p(r, t) ≈ exp(-(t - r)/n) = exp(-lambda (t - r))``."""
-        t = self.t if t is None else int(t)
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        return math.exp(-self.lam * (t - r))
-
-    def inclusion_probabilities(
-        self, r: np.ndarray, t: Optional[int] = None
-    ) -> np.ndarray:
-        """Vectorized Theorem 2.2 model."""
-        t = self.t if t is None else int(t)
-        r = np.asarray(r, dtype=np.float64)
-        if np.any(r < 1) or np.any(r > t):
-            raise ValueError("require 1 <= r <= t")
-        return np.exp(-self.lam * (t - r))
 
     def survival_probability(self, age: int) -> float:
         """Exact per-policy survival ``(1 - 1/n)^age`` (pre-approximation).

@@ -48,8 +48,9 @@ __all__ = [
 def proportionality_constant(sampler: ReservoirSampler) -> float:
     """The ``c`` in ``p(x) = c * exp(-lambda * age)`` for a sampler.
 
-    ``1.0`` for Algorithm 2.1 (deterministic insertion); the current
-    ``p_in`` for Algorithm 3.1 and variable reservoir sampling.
+    The sampler's ``p_in``: ``1.0`` for Algorithm 2.1 (deterministic
+    insertion); the current ``p_in`` for Algorithm 3.1 and variable
+    reservoir sampling.
 
     Eligibility is decided by the ``exponential_design`` class marker, not
     by the presence of a ``lam`` attribute: samplers such as
@@ -70,7 +71,7 @@ def proportionality_constant(sampler: ReservoirSampler) -> float:
             f"{type(sampler).__name__} is not an exponentially biased "
             f"reservoir ({detail})"
         )
-    return float(getattr(sampler, "p_in", 1.0))
+    return float(sampler.p_in)
 
 
 def _aged_entries(sampler: ReservoirSampler) -> List[Tuple[int, object]]:

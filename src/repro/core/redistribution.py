@@ -25,7 +25,7 @@ predicts.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -171,20 +171,17 @@ class GeneralBiasSampler(ReservoirSampler):
             return True
         return False
 
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
+    def _inclusion_law(self, r: np.ndarray, t: int) -> np.ndarray:
         """Exact maintained probability ``min(1, C(t) f(r, t))``.
 
         Only the current time is supported (the normalizer for past times
         is not retained).
         """
-        t = self.t if t is None else int(t)
         if t != self.t:
             raise ValueError(
                 "GeneralBiasSampler only models p(r, t) at the current time"
             )
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        return min(1.0, self._constant() * self.bias.weight(r, t))
+        return np.minimum(1.0, self._constant() * self.bias.weights(r, t))
 
     def work_per_arrival(self) -> float:
         """Average redistribution work (resident touches) per arrival so far.

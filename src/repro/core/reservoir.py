@@ -42,6 +42,7 @@ from repro.utils.rng import RngLike, as_generator
 __all__ = [
     "ReservoirSampler",
     "SampleEntry",
+    "check_arrivals",
     "from_state_dict",
     "object_array",
     "SNAPSHOT_VERSION",
@@ -120,29 +121,36 @@ class ReservoirSampler(ABC):
     def offer(self, payload: Any) -> bool:
         """Process the next stream point; return ``True`` if it was stored."""
 
-    @abstractmethod
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
-        """Model probability that arrival ``r`` is resident at time ``t``.
+    def inclusion_probabilities(
+        self, r: np.ndarray, t: Optional[int] = None
+    ) -> np.ndarray:
+        """Model probabilities that arrivals ``r`` are resident at time ``t``.
 
         This is the analytical ``p(r, t)`` for the sampler's policy (e.g.
         Theorem 2.2 for Algorithm 2.1). It is the quantity Horvitz-Thompson
         estimation divides by; it is a *model*, not a per-run empirical
-        frequency. ``t`` defaults to the current stream position.
-        """
-
-    def inclusion_probabilities(
-        self, r: np.ndarray, t: Optional[int] = None
-    ) -> np.ndarray:
-        """Vectorized :meth:`inclusion_probability` over arrival indices.
-
-        The base implementation loops; subclasses override with closed
-        forms. Estimation code should always call this form.
+        frequency. ``t`` defaults to the current stream position, and every
+        ``r`` must satisfy ``1 <= r <= t``. Each family states its law once,
+        in :meth:`_inclusion_law`.
         """
         t = self.t if t is None else int(t)
-        r = np.asarray(r)
-        return np.array(
-            [self.inclusion_probability(int(ri), t) for ri in r.ravel()]
-        ).reshape(r.shape)
+        r = check_arrivals(r, t)
+        if not r.size:
+            # The only query valid at t = 0, where laws such as n/t are
+            # undefined.
+            return np.zeros(r.shape)
+        return self._inclusion_law(r, t)
+
+    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
+        """One-element :meth:`inclusion_probabilities` (bitwise equal)."""
+        return float(self.inclusion_probabilities([r], t)[0])
+
+    def _inclusion_law(self, r: np.ndarray, t: int) -> np.ndarray:
+        """The family's ``p(r, t)`` over a non-empty float64 array of
+        arrivals already checked against ``1 <= r <= t``."""
+        raise NotImplementedError(
+            f"{type(self).__name__} states no inclusion law"
+        )
 
     # ------------------------------------------------------------------ #
     # Shared storage operations
@@ -635,6 +643,15 @@ def from_state_dict(state: Dict[str, Any]) -> ReservoirSampler:
     obj._restore_extra(state)
     obj.rng.bit_generator.state = state["rng_state"]
     return obj
+
+
+def check_arrivals(r: Any, t: int) -> np.ndarray:
+    """Arrival indices ``r`` as float64, checked against ``1 <= r <= t``."""
+    r = np.asarray(r, dtype=np.float64)
+    if np.any(r < 1) or np.any(r > t):
+        bad = r[(r < 1) | (r > t)].ravel()
+        raise ValueError(f"require 1 <= r <= t, got r={bad[0]:.15g}, t={t}")
+    return r
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:

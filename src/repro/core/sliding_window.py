@@ -50,12 +50,9 @@ class WindowBuffer(ReservoirSampler):
             self._append(payload)
         return True
 
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
+    def _inclusion_law(self, r: np.ndarray, t: int) -> np.ndarray:
         """Deterministic membership: 1 inside the window, 0 outside."""
-        t = self.t if t is None else int(t)
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        return 1.0 if t - r < self.capacity else 0.0
+        return np.where(t - r < self.capacity, 1.0, 0.0)
 
 
 class _Chain:
@@ -176,7 +173,7 @@ class ChainSampler(ReservoirSampler):
     def size(self) -> int:
         return sum(1 for c in self._chains if c.chain)
 
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
+    def _inclusion_law(self, r: np.ndarray, t: int) -> np.ndarray:
         """Per-slot membership probability ``1/min(t, W)`` inside the
         window, 0 outside.
 
@@ -185,12 +182,7 @@ class ChainSampler(ReservoirSampler):
         multiplicity of arrival ``r`` is ``capacity / min(t, W)``; dividing
         per-slot keeps the estimator consistent under pooling.
         """
-        t = self.t if t is None else int(t)
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        if t - r >= self.window:
-            return 0.0
-        return 1.0 / min(t, self.window)
+        return np.where(t - r < self.window, 1.0 / min(t, self.window), 0.0)
 
     def memory_footprint(self) -> int:
         """Total chain links currently stored (expected ``O(capacity)``)."""

@@ -23,19 +23,17 @@ sampling (:mod:`repro.core.variable`).
 
 from __future__ import annotations
 
-import math
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.core.bias import ExponentialBias
+from repro.core.biased import ExponentialDesign
 from repro.core.reservoir import ReservoirSampler
 from repro.utils.rng import RngLike, require_probability
 
 __all__ = ["SpaceConstrainedReservoir"]
 
 
-class SpaceConstrainedReservoir(ReservoirSampler):
+class SpaceConstrainedReservoir(ExponentialDesign, ReservoirSampler):
     """Biased reservoir sampler implementing Algorithm 3.1 (fixed ``p_in``).
 
     Parameters
@@ -111,23 +109,6 @@ class SpaceConstrainedReservoir(ReservoirSampler):
     @classmethod
     def _construct_from_state(cls, state: dict) -> "SpaceConstrainedReservoir":
         return cls(capacity=state["capacity"], p_in=state["p_in"])
-
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
-        """Theorem 3.1: ``p(r, t) ≈ p_in * exp(-lambda (t - r))``."""
-        t = self.t if t is None else int(t)
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        return self.p_in * math.exp(-self.lam * (t - r))
-
-    def inclusion_probabilities(
-        self, r: np.ndarray, t: Optional[int] = None
-    ) -> np.ndarray:
-        """Vectorized Theorem 3.1 model."""
-        t = self.t if t is None else int(t)
-        r = np.asarray(r, dtype=np.float64)
-        if np.any(r < 1) or np.any(r > t):
-            raise ValueError("require 1 <= r <= t")
-        return self.p_in * np.exp(-self.lam * (t - r))
 
     def survival_probability(self, age: int) -> float:
         """Exact retention ``(1 - p_in/n)^age`` from the Theorem 3.1 proof.

@@ -199,7 +199,7 @@ class TimeDecayReservoir(ReservoirSampler):
         decay = np.exp(-self.lam_time * self.time_ages())
         return 1.0 / (probs * decay)
 
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
+    def _inclusion_law(self, r: np.ndarray, t: int) -> np.ndarray:
         """Arrival-index models do not apply; use :meth:`resident_weights`
         (per-resident, exact) for estimation."""
         raise NotImplementedError(

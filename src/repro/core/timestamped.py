@@ -48,7 +48,7 @@ from typing import Any, Iterable, List, Optional
 
 import numpy as np
 
-from repro.core.reservoir import ReservoirSampler
+from repro.core.reservoir import ReservoirSampler, check_arrivals
 from repro.utils.rng import RngLike
 
 __all__ = ["TimestampedExponentialReservoir"]
@@ -228,54 +228,46 @@ class TimestampedExponentialReservoir(ReservoirSampler):
         """Per-resident elapsed time ``now - timestamp``."""
         return self.now - self.timestamps()
 
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
+    def _inclusion_law(self, r: np.ndarray, t: int) -> np.ndarray:
         """Arrival-index-only models are insufficient here (the design is
-        timestamp-driven); use :meth:`inclusion_probability_at` with both
+        timestamp-driven); use :meth:`inclusion_probabilities_at` with both
         coordinates."""
         raise NotImplementedError(
             "TimestampedExponentialReservoir models inclusion by "
-            "(timestamp, arrival index); use inclusion_probability_at"
+            "(timestamp, arrival index); use inclusion_probabilities_at"
         )
-
-    def inclusion_probability_at(
-        self, timestamp: float, arrival_index: Optional[int] = None
-    ) -> float:
-        """The hybrid model (*) from the module docstring.
-
-        ``exp(-lam_time (now - timestamp))`` times, when ``arrival_index``
-        is given, the count factor ``(1 - 1/n)^(t - arrival_index)`` from
-        replacement pressure. Omitting ``arrival_index`` returns the pure
-        time component (valid when arrivals are sparse,
-        ``rho << n * lam_time``).
-        """
-        timestamp = float(timestamp)
-        if timestamp > self.now:
-            raise ValueError(
-                f"timestamp {timestamp} is in the future (now={self.now})"
-            )
-        p = math.exp(-self.lam_time * (self.now - timestamp))
-        if arrival_index is not None:
-            if not 1 <= arrival_index <= self.t:
-                raise ValueError(
-                    f"require 1 <= arrival_index <= {self.t}, got "
-                    f"{arrival_index}"
-                )
-            p *= (1.0 - 1.0 / self.capacity) ** (self.t - arrival_index)
-        return p
 
     def inclusion_probabilities_at(
         self,
         timestamps: np.ndarray,
         arrival_indices: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Vectorized :meth:`inclusion_probability_at`."""
+        """The hybrid model (*) from the module docstring.
+
+        ``exp(-lam_time (now - timestamp))`` times, when
+        ``arrival_indices`` is given, the count factor
+        ``(1 - 1/n)^(t - arrival_index)`` from replacement pressure.
+        Omitting ``arrival_indices`` returns the pure time component
+        (valid when arrivals are sparse, ``rho << n * lam_time``).
+        """
         stamps = np.asarray(timestamps, dtype=np.float64)
         if np.any(stamps > self.now):
-            raise ValueError("timestamps must not exceed now")
+            raise ValueError(
+                f"timestamp {stamps.max()} is in the future (now={self.now})"
+            )
         p = np.exp(-self.lam_time * (self.now - stamps))
         if arrival_indices is not None:
-            r = np.asarray(arrival_indices, dtype=np.float64)
-            if np.any(r < 1) or np.any(r > self.t):
-                raise ValueError("require 1 <= arrival_index <= t")
+            r = check_arrivals(arrival_indices, self.t)
             p = p * (1.0 - 1.0 / self.capacity) ** (self.t - r)
         return p
+
+    def inclusion_probability_at(
+        self, timestamp: float, arrival_index: Optional[int] = None
+    ) -> float:
+        """One-element :meth:`inclusion_probabilities_at`."""
+        return float(
+            self.inclusion_probabilities_at(
+                [timestamp],
+                None if arrival_index is None else [arrival_index],
+            )[0]
+        )

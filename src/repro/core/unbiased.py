@@ -25,22 +25,20 @@ from repro.core.reservoir import ReservoirSampler, object_array
 from repro.utils.rng import RngLike
 
 
-def _uniform_inclusion(capacity: int, r: np.ndarray, t: int) -> np.ndarray:
-    """Vectorized ``min(1, n/t)`` shared by both unbiased samplers."""
-    r = np.asarray(r, dtype=np.float64)
-    if np.any(r < 1) or np.any(r > t):
-        raise ValueError("require 1 <= r <= t")
-    if t <= 0:
-        # Nothing has been offered yet: only the empty query is valid (any
-        # concrete r would have failed the range check above), and its
-        # answer is the empty vector — not a division by t = 0.
-        return np.zeros(r.shape)
-    return np.full(r.shape, min(1.0, capacity / t))
-
 __all__ = ["UnbiasedReservoir", "SkipUnbiasedReservoir"]
 
 
-class UnbiasedReservoir(ReservoirSampler):
+class _UniformDesign:
+    """Property 2.1, shared by both unbiased samplers: ``p(r, t) =
+    min(1, n / t)``, independent of ``r``."""
+
+    capacity: int
+
+    def _inclusion_law(self, r: np.ndarray, t: int) -> np.ndarray:
+        return np.full(r.shape, min(1.0, self.capacity / t))
+
+
+class UnbiasedReservoir(_UniformDesign, ReservoirSampler):
     """Vitter's Algorithm R: a uniform sample of the whole stream."""
 
     def offer(self, payload: Any) -> bool:
@@ -95,22 +93,8 @@ class UnbiasedReservoir(ReservoirSampler):
         self.offers += b
         return stored + m
 
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
-        """Property 2.1: ``p(r, t) = min(1, n / t)`` — independent of ``r``."""
-        t = self.t if t is None else int(t)
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        return min(1.0, self.capacity / t)
 
-    def inclusion_probabilities(
-        self, r: np.ndarray, t: Optional[int] = None
-    ) -> np.ndarray:
-        """Vectorized Property 2.1 model."""
-        t = self.t if t is None else int(t)
-        return _uniform_inclusion(self.capacity, r, t)
-
-
-class SkipUnbiasedReservoir(ReservoirSampler):
+class SkipUnbiasedReservoir(_UniformDesign, ReservoirSampler):
     """Algorithm R distribution with Algorithm X geometric-skip acceptance.
 
     Once the reservoir is full, the number of stream points to *skip* before
@@ -205,17 +189,3 @@ class SkipUnbiasedReservoir(ReservoirSampler):
         self.t = t0 + b
         self.offers += b
         return stored
-
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
-        """Identical to Algorithm R: ``min(1, n / t)``."""
-        t = self.t if t is None else int(t)
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        return min(1.0, self.capacity / t)
-
-    def inclusion_probabilities(
-        self, r: np.ndarray, t: Optional[int] = None
-    ) -> np.ndarray:
-        """Vectorized Property 2.1 model."""
-        t = self.t if t is None else int(t)
-        return _uniform_inclusion(self.capacity, r, t)

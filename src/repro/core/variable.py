@@ -29,19 +29,17 @@ proportionality constant tracks the current ``p_in``.
 
 from __future__ import annotations
 
-import math
 from typing import Any, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.bias import ExponentialBias
+from repro.core.biased import ExponentialDesign
 from repro.core.reservoir import ReservoirSampler
 from repro.utils.rng import RngLike
 
 __all__ = ["VariableReservoir"]
 
 
-class VariableReservoir(ReservoirSampler):
+class VariableReservoir(ExponentialDesign, ReservoirSampler):
     """Theorem 3.3 variable-``p_in`` biased sampler.
 
     Parameters
@@ -67,6 +65,14 @@ class VariableReservoir(ReservoirSampler):
     phase_history:
         ``(t, p_in)`` pairs recorded at each phase transition, for
         diagnostics and the Figure 1 experiment.
+
+    Notes
+    -----
+    The inclusion law (:class:`~repro.core.biased.ExponentialDesign`)
+    uses the *current* ``p_in`` as its proportionality constant, so it is
+    valid for estimation at the current stream position; a past ``t``
+    during the startup phases would need the ``p_in`` in force then,
+    which :meth:`p_in_at` recovers from :attr:`phase_history`.
     """
 
     exponential_design = True
@@ -154,29 +160,6 @@ class VariableReservoir(ReservoirSampler):
     @classmethod
     def _construct_from_state(cls, state: dict) -> "VariableReservoir":
         return cls(lam=state["lam"], capacity=state["capacity"], q=state["q"])
-
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
-        """Theorem 3.3 model: ``p(r, t) = p_in(now) * exp(-lambda (t - r))``.
-
-        Valid for estimation at the *current* stream position (the
-        proportionality constant is the current ``p_in``); querying a past
-        ``t`` during the startup phases would need the ``p_in`` in force
-        then, which is recoverable from :attr:`phase_history`.
-        """
-        t = self.t if t is None else int(t)
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        return self.p_in * math.exp(-self.lam * (t - r))
-
-    def inclusion_probabilities(
-        self, r: np.ndarray, t: Optional[int] = None
-    ) -> np.ndarray:
-        """Vectorized Theorem 3.3 model (current ``p_in``)."""
-        t = self.t if t is None else int(t)
-        r = np.asarray(r, dtype=np.float64)
-        if np.any(r < 1) or np.any(r > t):
-            raise ValueError("require 1 <= r <= t")
-        return self.p_in * np.exp(-self.lam * (t - r))
 
     def p_in_at(self, t: int) -> float:
         """Insertion probability that was in force at stream position ``t``."""

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.reservoir import check_arrivals
 from repro.streams.point import StreamPoint
 
 __all__ = [
@@ -87,14 +88,11 @@ class LinearQuery:
 
     def coefficient(self, r: int, t: int) -> float:
         """``c(r, t)``: the horizon indicator (or 1 for whole-stream)."""
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        if self.horizon is None:
-            return 1.0
-        return 1.0 if t - r < self.horizon else 0.0
+        check_arrivals(r, t)
+        return float(self.coefficients([r], t)[0])
 
     def coefficients(self, r: np.ndarray, t: int) -> np.ndarray:
-        """Vectorized :meth:`coefficient`."""
+        """Vectorized :meth:`coefficient` (arrivals are not range-checked)."""
         r = np.asarray(r, dtype=np.int64)
         if self.horizon is None:
             return np.ones(r.shape)

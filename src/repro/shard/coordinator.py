@@ -35,9 +35,15 @@ from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
+from repro.core.biased import ExponentialDesign
 from repro.core.columns import ResidentColumns, build_resident_columns
 from repro.core.merge import fold_exponential_reservoirs
-from repro.core.reservoir import SNAPSHOT_VERSION, SampleEntry, object_array
+from repro.core.reservoir import (
+    SNAPSHOT_VERSION,
+    ReservoirSampler,
+    SampleEntry,
+    object_array,
+)
 from repro.core.space_constrained import SpaceConstrainedReservoir
 from repro.shard.partition import (
     HashByKeyPartitioner,
@@ -79,7 +85,7 @@ class _GlobalAxisView:
         return list(self._entries)
 
 
-class ShardedReservoir:
+class ShardedReservoir(ExponentialDesign):
     """Sharded exponentially biased reservoir over a partitioned stream.
 
     Parameters
@@ -361,8 +367,11 @@ class ShardedReservoir:
     # Inclusion model
     # ------------------------------------------------------------------ #
 
-    def inclusion_probability(self, r: int, t: Optional[int] = None) -> float:
-        """Sharded inclusion model for global arrival ``r`` at time ``t``.
+    inclusion_probabilities = ReservoirSampler.inclusion_probabilities
+    inclusion_probability = ReservoirSampler.inclusion_probability
+
+    def _inclusion_law(self, r: np.ndarray, t: int) -> np.ndarray:
+        """Sharded inclusion model for global arrivals ``r`` at time ``t``.
 
         Round-robin partitioning admits an *exact* closed form: arrival
         ``r`` has seen ``k = floor((t - r)/W)`` subsequent arrivals on its
@@ -375,29 +384,10 @@ class ShardedReservoir:
         expectation (per-worker arrival counts fluctuate), so it falls
         back to the smooth model.
         """
-        t = self.t if t is None else int(t)
-        if not 1 <= r <= t:
-            raise ValueError(f"require 1 <= r <= t, got r={r}, t={t}")
-        if getattr(self.partitioner, "exact_schedule", False):
+        if self.partitioner.exact_schedule:
             k = (t - r) // self.workers
-            return self.p_in * (
-                1.0 - self.p_in / self.shard_capacity
-            ) ** k
-        return self.p_in * float(np.exp(-self.lam * (t - r)))
-
-    def inclusion_probabilities(
-        self, r: np.ndarray, t: Optional[int] = None
-    ) -> np.ndarray:
-        """Vectorized :meth:`inclusion_probability`."""
-        t = self.t if t is None else int(t)
-        r = np.asarray(r, dtype=np.int64)
-        if np.any(r < 1) or np.any(r > t):
-            raise ValueError("require 1 <= r <= t")
-        if getattr(self.partitioner, "exact_schedule", False):
-            k = (t - r) // self.workers
-            base = 1.0 - self.p_in / self.shard_capacity
-            return self.p_in * base ** k
-        return self.p_in * np.exp(-self.lam * (t - r).astype(np.float64))
+            return self.p_in * (1.0 - self.p_in / self.shard_capacity) ** k
+        return super()._inclusion_law(r, t)
 
     # ------------------------------------------------------------------ #
     # Fold

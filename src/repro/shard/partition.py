@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,11 @@ __all__ = ["Partitioner", "RoundRobinPartitioner", "HashByKeyPartitioner"]
 
 class Partitioner(ABC):
     """Deterministic assignment of stream arrivals to ``W`` workers."""
+
+    #: Whether every worker sees exactly every ``W``-th arrival, so the
+    #: closed-form sharded inclusion law applies (see
+    #: ``ShardedReservoir._inclusion_law``).
+    exact_schedule = False
 
     def __init__(self, workers: int) -> None:
         workers = int(workers)
@@ -63,8 +68,6 @@ class Partitioner(ABC):
 class RoundRobinPartitioner(Partitioner):
     """Arrival ``r`` goes to worker ``(r - 1) % W`` (payload-independent)."""
 
-    #: Round-robin keeps per-worker arrival counts exact, so closed-form
-    #: inclusion models apply (see ShardedReservoir.inclusion_probability).
     exact_schedule = True
 
     def assign(self, index: int, payload: Any) -> int:
@@ -89,8 +92,6 @@ class HashByKeyPartitioner(Partitioner):
         salted ``hash()``.
     """
 
-    exact_schedule = False
-
     def __init__(
         self, workers: int, key: Optional[Callable[[Any], Any]] = None
     ) -> None:
@@ -100,18 +101,3 @@ class HashByKeyPartitioner(Partitioner):
     def assign(self, index: int, payload: Any) -> int:
         key = payload if self.key is None else self.key(payload)
         return zlib.crc32(str(key).encode("utf-8")) % self.workers
-
-
-def split_by_worker(
-    worker_ids: np.ndarray, block: Sequence[Any], workers: int
-) -> List[np.ndarray]:
-    """Positions (into ``block``) routed to each worker, order-preserving.
-
-    Returns one int64 position array per worker; concatenating them in
-    worker order and sorting recovers ``arange(len(block))``.
-    """
-    if len(worker_ids) != len(block):
-        raise ValueError("one worker id per block item required")
-    return [
-        np.nonzero(worker_ids == w)[0] for w in range(workers)
-    ]

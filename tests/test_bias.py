@@ -41,6 +41,8 @@ class TestExponentialBias:
     def test_r_greater_than_t_raises(self):
         with pytest.raises(ValueError, match="r <= t"):
             ExponentialBias(0.1).weight(5, 4)
+        with pytest.raises(ValueError, match="r <= t"):
+            ExponentialBias(0.1).weights([3, 12], 10)
 
     def test_negative_lambda_raises(self):
         with pytest.raises(ValueError, match="lambda"):
@@ -173,6 +175,8 @@ class TestPolynomialBias:
     def test_r_greater_than_t_raises(self):
         with pytest.raises(ValueError, match="r <= t"):
             PolynomialBias(1.0).weight(10, 9)
+        with pytest.raises(ValueError, match="r <= t"):
+            PolynomialBias(1.0).weights([3, 12], 10)
 
 
 class TestGenericBiasMachinery:
