@@ -143,7 +143,7 @@ class ExponentialReservoir(ExponentialDesign, ReservoirSampler):
             self._append(payload)
         return True
 
-    def _offer_block(self, block: Sequence[Any], *extras: np.ndarray) -> int:
+    def _offer_block(self, block: Sequence[Any]) -> int:
         """Closed-form Algorithm 2.1 over a block (same distribution).
 
         Uses the *virtual-slot* formulation of the policy: each arrival is
@@ -159,9 +159,6 @@ class ExponentialReservoir(ExponentialDesign, ReservoirSampler):
         as one scatter: occupied slots ascending, then newly occupied
         slots onto the storage tail in first-hit order, matching the
         per-item append order.
-
-        ``extras`` holds one per-arrival array for each declared
-        :attr:`slot_columns` entry.
         """
         b = len(block)
         t0 = self.t
@@ -176,7 +173,6 @@ class ExponentialReservoir(ExponentialDesign, ReservoirSampler):
             np.concatenate((slots, np.arange(s0, s0 + appended))),
             object_array(block)[writers],
             t0 + 1 + writers,
-            *(values[writers] for values in extras),
             appended=appended,
         )
         self.t = t0 + b

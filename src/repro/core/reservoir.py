@@ -43,6 +43,7 @@ __all__ = [
     "ReservoirSampler",
     "SampleEntry",
     "check_arrivals",
+    "check_snapshot_version",
     "from_state_dict",
     "object_array",
     "SNAPSHOT_VERSION",
@@ -315,21 +316,19 @@ class ReservoirSampler(ABC):
         dest: np.ndarray,
         payloads: np.ndarray,
         arrivals: np.ndarray,
-        *extras: np.ndarray,
         appended: int = 0,
     ) -> None:
         """Block write of the batch kernels: row ``dest[i]`` takes
-        ``payloads[i]``, ``arrivals[i]`` and each ``extras`` column's
-        ``[i]``.
+        ``payloads[i]`` and ``arrivals[i]``.
 
         ``payloads`` is a 1-D object array (:func:`object_array`). The
         last ``appended`` entries of ``dest`` must be the new tail rows
-        ``size, size + 1, ...``. Counters are the caller's to bump.
+        ``size, size + 1, ...``. Counters are the caller's to bump, and
+        so are any :attr:`slot_columns` (the shard samplers write theirs
+        after the block).
         """
         self._payloads[dest] = payloads
         self._arrivals[dest] = arrivals
-        for column, values in zip(self._extras, extras):
-            column[dest] = values
         self._size += appended
         self._write_rows(dest)
 
@@ -614,13 +613,7 @@ def from_state_dict(state: Dict[str, Any]) -> ReservoirSampler:
     layout predating the field); any other version is rejected here with
     a clear error rather than failing deep inside family extras.
     """
-    version = state.get("version", 1)
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"snapshot version {version!r} is not supported by this "
-            f"library (expected {SNAPSHOT_VERSION}); it was probably "
-            "written by a newer release"
-        )
+    check_snapshot_version(state)
     importlib.import_module(state["module"])
     try:
         cls = _SAMPLER_CLASSES[state["class"]]
@@ -643,6 +636,18 @@ def from_state_dict(state: Dict[str, Any]) -> ReservoirSampler:
     obj._restore_extra(state)
     obj.rng.bit_generator.state = state["rng_state"]
     return obj
+
+
+def check_snapshot_version(state: Dict[str, Any]) -> None:
+    """Reject a snapshot whose ``version`` is not :data:`SNAPSHOT_VERSION`
+    (a missing field reads as version 1, the layout predating it)."""
+    version = state.get("version", 1)
+    if version != SNAPSHOT_VERSION:
+        raise ValueError(
+            f"snapshot version {version!r} is not supported by this "
+            f"library (expected {SNAPSHOT_VERSION}); it was probably "
+            "written by a newer release"
+        )
 
 
 def check_arrivals(r: Any, t: int) -> np.ndarray:

@@ -23,7 +23,7 @@ sampling (:mod:`repro.core.variable`).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.core.bias import ExponentialBias
 from repro.core.biased import ExponentialDesign
@@ -102,6 +102,20 @@ class SpaceConstrainedReservoir(ExponentialDesign, ReservoirSampler):
         else:
             self._append(payload)
         return True
+
+    #: The step itself, which the block path runs even where a subclass
+    #: overrides :meth:`offer`.
+    _step = offer
+
+    def _offer_block(self, block: Sequence[Any]) -> int:
+        """One Algorithm 3.1 step per arrival, in stream order, so a block
+        consumes the random sequence of a loop of :meth:`offer` calls."""
+        step = self._step
+        stored = 0
+        for payload in block:
+            if step(payload):
+                stored += 1
+        return stored
 
     def _extra_state(self) -> dict:
         return {"p_in": self.p_in}

@@ -7,7 +7,7 @@ sampler's complete :meth:`~repro.core.reservoir.ReservoirSampler.state_dict`
 an atomic checkpoint. :meth:`DurableReservoir.recover` loads the newest
 valid checkpoint and replays the WAL tail **through the sampler's real
 ingestion path** — ``offer`` / ``offer_many`` for serial samplers, the
-per-shard ``ShardWorker.ingest`` kernel for sharded ones — so the
+each shard's ``ingest`` kernel for sharded ones — so the
 recovered sampler consumes exactly the random sequence the uninterrupted
 run would have, and its ``state_dict()`` is byte-identical to never
 having crashed (asserted record-by-record in
@@ -32,12 +32,12 @@ Sharded mode
 ------------
 
 Wrapping a :class:`~repro.shard.coordinator.ShardedReservoir` hooks the
-facade's dispatch step: every block a shard worker ingests — whether
+facade's dispatch step: every block a shard ingests — whether
 from ``offer_many`` partitioning or from the per-item buffer flushing —
 is journaled to that shard's own segment as ``(global_indices,
-payloads)`` *keyed by global arrival index*, before the worker sees it.
+payloads)`` *keyed by global arrival index*, before the shard sees it.
 Within a shard, records replay in sequence order; across shards order is
-irrelevant because worker RNG streams are independent. Per-item offers
+irrelevant because shard RNG streams are independent. Per-item offers
 that are still sitting in the facade's in-memory buffer are not yet
 durable — call :meth:`flush` (or :meth:`checkpoint`, which flushes) to
 push them over the dispatch boundary.
@@ -213,7 +213,7 @@ class DurableReservoir:
         self._bytes_in_generation += size
 
     def _hook_dispatch(self) -> None:
-        """Journal every shard dispatch before the worker ingests it."""
+        """Journal every shard dispatch before the shard ingests it."""
         facade = self.sampler
         self._orig_dispatch = facade._dispatch
 
@@ -426,11 +426,12 @@ class DurableReservoir:
         max_gen = from_gen
         tail_records = 0
         tail_bytes = 0
+        max_glob = 0
         for w, stream in enumerate(self._streams):
             segments = self._segments_for(stream, from_gen)
             for gen, path in segments:
                 result = scan_wal(path, min_seq=min_seq)
-                self._apply_records(w, result)
+                max_glob = max(max_glob, self._apply_records(w, result))
                 info.records_replayed += len(result.records)
                 info.duplicates_dropped += len(result.duplicates)
                 if result.records:
@@ -455,20 +456,22 @@ class DurableReservoir:
         self._bytes_in_generation = tail_bytes
         self._open_writers()
         if self._sharded:
-            self._finish_sharded_replay()
+            # Advance the facade clock past every replayed global index.
+            self.sampler.t = max(self.sampler.t, max_glob)
 
-    def _apply_records(self, w: int, result: ScanResult) -> None:
-        """Feed replayed records through the sampler's real ingest path."""
+    def _apply_records(self, w: int, result: ScanResult) -> int:
+        """Feed replayed records through the sampler's real ingest path;
+        return the largest global arrival index replayed (0 if none, and
+        always 0 for a serial sampler)."""
+        max_glob = 0
         if self._sharded:
-            worker = self.sampler._workers[w]
+            shard = self.sampler._workers[w]
             for _seq, (globs, payloads) in result.records:
-                worker.ingest(
+                shard.ingest(
                     object_array(payloads),
                     np.asarray(globs, dtype=np.int64),
                 )
-                self._sharded_max_glob = max(
-                    getattr(self, "_sharded_max_glob", 0), int(globs[-1])
-                )
+                max_glob = max(max_glob, int(globs[-1]))
         else:
             for _seq, record in result.records:
                 op, data = record
@@ -478,12 +481,7 @@ class DurableReservoir:
                     self.sampler.offer_many(data)
                 else:
                     raise ValueError(f"unknown WAL record op {op!r}")
-
-    def _finish_sharded_replay(self) -> None:
-        """Advance the facade clock past every replayed global index."""
-        max_glob = getattr(self, "_sharded_max_glob", 0)
-        if max_glob > self.sampler.t:
-            self.sampler.t = max_glob
+        return max_glob
 
     # ------------------------------------------------------------------ #
     # Passthrough inspection

@@ -87,13 +87,13 @@ class LinearQuery:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
     def coefficient(self, r: int, t: int) -> float:
-        """``c(r, t)``: the horizon indicator (or 1 for whole-stream)."""
-        check_arrivals(r, t)
+        """One-element :meth:`coefficients`."""
         return float(self.coefficients([r], t)[0])
 
     def coefficients(self, r: np.ndarray, t: int) -> np.ndarray:
-        """Vectorized :meth:`coefficient` (arrivals are not range-checked)."""
-        r = np.asarray(r, dtype=np.int64)
+        """``c(r, t)`` per arrival: the horizon indicator (or 1 for
+        whole-stream). Every ``r`` must satisfy ``1 <= r <= t``."""
+        r = check_arrivals(r, t)
         if self.horizon is None:
             return np.ones(r.shape)
         return ((t - r) < self.horizon).astype(np.float64)

@@ -3,17 +3,17 @@
 Public surface:
 
 * :class:`ShardedReservoir` — the facade: partition a stream across ``W``
-  shard workers, each a local biased reservoir, with the union provably
+  shards, each a local biased reservoir, with the union provably
   equal in law to one global reservoir (see
   :mod:`repro.shard.coordinator` for the argument) and a ``fold()`` that
   collapses the shards into a single live sampler via Theorem 3.3
   thinning.
 * :class:`RoundRobinPartitioner` / :class:`HashByKeyPartitioner` — stream
   routing policies (:mod:`repro.shard.partition`).
-* :class:`ArrayExponentialShard` / :class:`ShardWorker` — the local
-  samplers and their global-axis bookkeeping (:mod:`repro.shard.worker`):
-  an Algorithm 2.1 reservoir whose slot table also records each
-  resident's global arrival index.
+* :class:`ArrayExponentialShard` / :class:`SpaceConstrainedShard` — the
+  shard samplers (:mod:`repro.shard.worker`): an Algorithm 2.1 and an
+  Algorithm 3.1 reservoir whose slot table also records each resident's
+  global arrival index.
 """
 
 from repro.shard.coordinator import ShardedReservoir
@@ -22,7 +22,7 @@ from repro.shard.partition import (
     Partitioner,
     RoundRobinPartitioner,
 )
-from repro.shard.worker import ArrayExponentialShard, ShardWorker
+from repro.shard.worker import ArrayExponentialShard, SpaceConstrainedShard
 
 __all__ = [
     "ShardedReservoir",
@@ -30,5 +30,5 @@ __all__ = [
     "RoundRobinPartitioner",
     "HashByKeyPartitioner",
     "ArrayExponentialShard",
-    "ShardWorker",
+    "SpaceConstrainedShard",
 ]

@@ -24,13 +24,15 @@ Theorem 3.3 thinning degenerates to a pure union of at most
 the whole sharded sample. Folding to a *smaller* capacity exercises the
 genuine thinning path.
 
-The ``W`` workers live in-process and are fed in turn, not in parallel.
-Each exponential worker runs the same Algorithm 2.1 block kernel as
-serial ``offer_many``.
+The ``W`` shards live in-process and are fed in turn, not in parallel.
+Each is a plain sampler (:mod:`repro.shard.worker`) that runs its
+family's serial kernel and keeps every resident's global arrival index
+in a slot column, so the facade reads both families the same way.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -42,6 +44,8 @@ from repro.core.reservoir import (
     SNAPSHOT_VERSION,
     ReservoirSampler,
     SampleEntry,
+    check_snapshot_version,
+    from_state_dict,
     object_array,
 )
 from repro.core.space_constrained import SpaceConstrainedReservoir
@@ -50,7 +54,7 @@ from repro.shard.partition import (
     Partitioner,
     RoundRobinPartitioner,
 )
-from repro.shard.worker import ArrayExponentialShard, ShardWorker
+from repro.shard.worker import ArrayExponentialShard, SpaceConstrainedShard
 from repro.utils.rng import RngLike, as_generator, require_probability
 
 __all__ = ["ShardedReservoir", "_GlobalAxisView"]
@@ -103,7 +107,8 @@ class ShardedReservoir(ExponentialDesign):
     family:
         Local sampler family: ``"exponential"`` (Algorithm 2.1, as
         :class:`~repro.shard.worker.ArrayExponentialShard`) or
-        ``"space_constrained"`` (Algorithm 3.1).
+        ``"space_constrained"`` (Algorithm 3.1, as
+        :class:`~repro.shard.worker.SpaceConstrainedShard`).
     partitioner:
         A :class:`~repro.shard.partition.Partitioner`; defaults to
         round-robin. Its worker count must equal ``workers``.
@@ -162,6 +167,7 @@ class ShardedReservoir(ExponentialDesign):
         if family == "exponential":
             # Observation 2.1: the union's realized global rate is 1/n.
             self.p_in = 1.0
+            make_shard = ArrayExponentialShard
         elif family == "space_constrained":
             if lam is None:
                 raise ValueError(
@@ -175,6 +181,7 @@ class ShardedReservoir(ExponentialDesign):
                     f"1/lambda = {1.0 / lam:.6g}; use family='exponential'"
                 )
             self.p_in = require_probability(min(1.0, p_in), "p_in")
+            make_shard = partial(SpaceConstrainedShard, p_in=self.p_in)
         else:
             raise ValueError(f"unknown shard family {family!r}")
         #: Realized global bias rate of the union sample.
@@ -184,16 +191,10 @@ class ShardedReservoir(ExponentialDesign):
         seed_seq = self._seed_sequence(rng)
         children = seed_seq.spawn(workers + 1)
         self._fold_rng = np.random.default_rng(children[workers])
-        self._workers: List[ShardWorker] = []
-        for i in range(workers):
-            child = np.random.default_rng(children[i])
-            if family == "exponential":
-                sampler = ArrayExponentialShard(capacity=m, rng=child)
-            else:
-                sampler = SpaceConstrainedReservoir(
-                    capacity=m, p_in=self.p_in, rng=child
-                )
-            self._workers.append(ShardWorker(sampler, family))
+        self._workers: List[ReservoirSampler] = [
+            make_shard(capacity=m, rng=np.random.default_rng(child))
+            for child in children[:workers]
+        ]
 
         self._pending_items: List[List[Any]] = [[] for _ in range(workers)]
         self._pending_globals: List[List[int]] = [[] for _ in range(workers)]
@@ -283,31 +284,37 @@ class ShardedReservoir(ExponentialDesign):
     # ------------------------------------------------------------------ #
 
     def worker_states(self) -> List[Dict[str, Any]]:
-        """Current :class:`ShardWorker` snapshots (flushes buffers)."""
-        return [w.state_dict() for w in self._current_workers()]
+        """Per-shard ``{"family", "sampler"}`` snapshots (flushes buffers)."""
+        return [
+            {"family": self.family, "sampler": shard.state_dict()}
+            for shard in self._current_workers()
+        ]
 
-    def _current_workers(self) -> List[ShardWorker]:
+    def _current_workers(self) -> List[ReservoirSampler]:
         self.flush()
         return self._workers
 
     def entries(self) -> List[SampleEntry]:
         """Residents as ``SampleEntry(global_arrival, payload)``,
         worker-major order."""
-        out: List[SampleEntry] = []
-        for worker in self._current_workers():
-            out.extend(
-                SampleEntry(g, p) for g, p in worker.entries_global()
-            )
-        return out
+        return [
+            entry
+            for shard in self._current_workers()
+            for entry in _global_entries(shard)
+        ]
 
     def payloads(self) -> List[Any]:
         """Resident payloads across all shards (worker-major order)."""
-        return [e.payload for e in self.entries()]
+        return [
+            payload
+            for shard in self._current_workers()
+            for payload in shard.payloads()
+        ]
 
     def arrival_indices(self) -> np.ndarray:
         """Global arrival indices across all shards."""
-        return np.asarray(
-            [e.arrival for e in self.entries()], dtype=np.int64
+        return np.concatenate(
+            [shard.global_arrivals() for shard in self._current_workers()]
         )
 
     def ages(self) -> np.ndarray:
@@ -319,27 +326,26 @@ class ShardedReservoir(ExponentialDesign):
 
         Shard-aware analogue of
         :meth:`~repro.core.reservoir.ReservoirSampler.resident_columns`:
-        pending per-item buffers are flushed, each worker contributes its
-        ``(values, labels, global_arrivals)`` columns
-        (:meth:`~repro.shard.worker.ShardWorker.resident_columns`), and
-        the concatenation — fresh read-only arrays — is cached against the
-        facade's stream position: worker state is a pure function of the
-        offers ingested, so with no new offers the union residents cannot
-        have changed. Requires :class:`~repro.streams.point.StreamPoint`
-        payloads.
+        pending per-item buffers are flushed, each shard contributes the
+        ``values``/``labels`` of its own column buffers and its
+        ``global_arrivals()``, and the concatenation — fresh read-only
+        arrays — is cached against the facade's stream position: shard
+        state is a pure function of the offers ingested, so with no new
+        offers the union residents cannot have changed. Requires
+        :class:`~repro.streams.point.StreamPoint` payloads.
         """
         cached = self._columns_cache
         if cached is not None and cached[0] == self.t:
             return cached[1]
         parts = [
-            part
-            for part in (w.resident_columns() for w in self._current_workers())
-            if len(part[2])
+            (shard.resident_columns(), shard.global_arrivals())
+            for shard in self._current_workers()
+            if shard.size
         ]
         if parts:
-            values, labels, arrivals = (
-                np.concatenate(column) for column in zip(*parts)
-            )
+            values = np.concatenate([view.values for view, _ in parts])
+            labels = np.concatenate([view.labels for view, _ in parts])
+            arrivals = np.concatenate([globs for _, globs in parts])
             for column in (values, labels, arrivals):
                 column.setflags(write=False)
             columns = ResidentColumns(values, labels, arrivals)
@@ -351,7 +357,7 @@ class ShardedReservoir(ExponentialDesign):
     @property
     def size(self) -> int:
         """Residents across all shards (flushes pending offers)."""
-        return sum(worker.sampler.size for worker in self._current_workers())
+        return sum(shard.size for shard in self._current_workers())
 
     @property
     def is_full(self) -> bool:
@@ -403,20 +409,16 @@ class ShardedReservoir(ExponentialDesign):
         Theorem 3.3 thinning. The fold does not consume the workers; the
         facade remains live.
         """
-        views = []
-        for worker in self._current_workers():
-            entries = [
-                SampleEntry(g, p) for g, p in worker.entries_global()
-            ]
-            views.append(
-                _GlobalAxisView(
-                    entries,
-                    lam=self.lam,
-                    p_in=self.p_in,
-                    capacity=self.shard_capacity,
-                    t=self.t,
-                )
+        views = [
+            _GlobalAxisView(
+                _global_entries(shard),
+                lam=self.lam,
+                p_in=self.p_in,
+                capacity=self.shard_capacity,
+                t=self.t,
             )
+            for shard in self._current_workers()
+        ]
         generator = self._fold_rng if rng is None else as_generator(rng)
         return fold_exponential_reservoirs(
             views,
@@ -465,13 +467,7 @@ class ShardedReservoir(ExponentialDesign):
         """Rebuild a facade from :meth:`state_dict`."""
         if state.get("class") != "ShardedReservoir":
             raise ValueError("not a ShardedReservoir snapshot")
-        version = state.get("version", 1)
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"snapshot version {version!r} is not supported by this "
-                f"library (expected {SNAPSHOT_VERSION}); it was probably "
-                "written by a newer release"
-            )
+        check_snapshot_version(state)
         workers = int(state["workers"])
         if partitioner is None:
             if state["partitioner"] == "hash":
@@ -494,9 +490,7 @@ class ShardedReservoir(ExponentialDesign):
         )
         obj.t = int(state["t"])
         obj._fold_rng.bit_generator.state = state["fold_rng_state"]
-        obj._workers = [
-            ShardWorker.from_state_dict(s) for s in state["worker_states"]
-        ]
+        obj._workers = [_restore_shard(s) for s in state["worker_states"]]
         return obj
 
     def __repr__(self) -> str:
@@ -504,3 +498,33 @@ class ShardedReservoir(ExponentialDesign):
             f"ShardedReservoir(capacity={self.capacity}, "
             f"workers={self.workers}, family={self.family!r}, t={self.t})"
         )
+
+
+def _global_entries(shard: ReservoirSampler) -> List[SampleEntry]:
+    """A shard's residents as ``SampleEntry(global_arrival, payload)``."""
+    return [
+        SampleEntry(g, p)
+        for g, p in zip(shard.global_arrivals().tolist(), shard.payloads())
+    ]
+
+
+def _restore_shard(state: Dict[str, Any]) -> ReservoirSampler:
+    """Rebuild one shard from its :meth:`ShardedReservoir.worker_states`
+    entry.
+
+    Older releases stored a space-constrained shard as a plain
+    :class:`SpaceConstrainedReservoir` whose payloads were
+    ``(global_index, payload)`` pairs; such a snapshot is unwrapped into
+    a :class:`~repro.shard.worker.SpaceConstrainedShard`.
+    """
+    sampler = state["sampler"]
+    if sampler["class"] == SpaceConstrainedReservoir.__name__:
+        pairs = sampler["payloads"]
+        sampler = {
+            **sampler,
+            "class": SpaceConstrainedShard.__name__,
+            "module": SpaceConstrainedShard.__module__,
+            "payloads": [payload for _, payload in pairs],
+            "global_arrivals": [g for g, _ in pairs],
+        }
+    return from_state_dict(sampler)

@@ -43,6 +43,17 @@ class TestLinearQuery:
         with pytest.raises(ValueError):
             count_query().coefficient(0, 10)
 
+    @pytest.mark.parametrize("horizon", [None, 5])
+    @pytest.mark.parametrize("bad", [0, 12])
+    def test_scalar_and_vector_reject_bad_r_alike(self, horizon, bad):
+        """r < 1 and r > t raise the same ValueError in both forms."""
+        q = count_query(horizon)
+        message = rf"require 1 <= r <= t, got r={bad}, t=10"
+        with pytest.raises(ValueError, match=message):
+            q.coefficient(bad, 10)
+        with pytest.raises(ValueError, match=message):
+            q.coefficients([3, bad], 10)
+
     def test_with_horizon_copies(self):
         q = sum_query(None, [0, 1])
         q2 = q.with_horizon(100)

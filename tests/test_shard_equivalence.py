@@ -27,6 +27,7 @@ from repro.shard import (
     HashByKeyPartitioner,
     RoundRobinPartitioner,
     ShardedReservoir,
+    SpaceConstrainedShard,
 )
 
 BLOCK = 97  # deliberately not a divisor of the stream length
@@ -64,7 +65,7 @@ class TestSingleWorkerEquivalence:
         assert fac.payloads() == serial.payloads()
         assert list(fac.arrival_indices()) == list(serial.arrival_indices())
         assert fac.t == serial.t
-        shard = fac._current_workers()[0].sampler
+        shard = fac._current_workers()[0]
         assert shard.rng.bit_generator.state == serial.rng.bit_generator.state
         assert (shard.offers, shard.insertions, shard.ejections) == (
             serial.offers, serial.insertions, serial.ejections
@@ -83,6 +84,38 @@ class TestSingleWorkerEquivalence:
         _feed_blocks(fac, points)
         assert fac.payloads() == serial.payloads()
         assert list(fac.arrival_indices()) == list(serial.arrival_indices())
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_space_constrained_shards_match_serial(self, workers):
+        """Shard ``i`` is a serial Algorithm 3.1 reservoir seeded from
+        spawn-child ``i`` and fed its round-robin sub-stream; its global
+        arrivals are its local ones mapped back onto the stream."""
+        points = _stream(900)
+        fac = ShardedReservoir(
+            capacity=40, workers=workers, lam=0.5 / 40,
+            family="space_constrained", rng=5,
+        )
+        _feed_blocks(fac, points)
+        entries = fac.entries()  # worker-major
+        for i, state in enumerate(fac.worker_states()):
+            serial = SpaceConstrainedReservoir(
+                capacity=40 // workers, p_in=0.5,
+                rng=_worker_rng(5, i, workers),
+            )
+            _feed_blocks(serial, points[i::workers])
+            mine = [e for e in entries if (e.arrival - 1) % workers == i]
+            local = serial.arrival_indices()
+            assert [e.payload for e in mine] == serial.payloads()
+            assert [e.arrival for e in mine] == (
+                (local - 1) * workers + i + 1
+            ).tolist()
+            shard = state["sampler"]
+            assert shard["arrivals"] == local.tolist()
+            assert (
+                shard["t"], shard["offers"], shard["insertions"],
+                shard["ejections"],
+            ) == (serial.t, serial.offers, serial.insertions, serial.ejections)
+            assert shard["rng_state"] == serial.rng.bit_generator.state
 
     def test_array_shard_matches_exponential_reservoir(self):
         """The scatter kernel IS ExponentialReservoir, observably."""
@@ -103,6 +136,28 @@ class TestSingleWorkerEquivalence:
             shard.rng.bit_generator.state
             == reference.rng.bit_generator.state
         )
+
+    def test_space_constrained_shard_matches_reservoir(self):
+        """Used directly, the Algorithm 3.1 shard is the serial sampler
+        and records each resident's local arrival as its global one."""
+        points = _stream(600)
+        reference = SpaceConstrainedReservoir(
+            capacity=24, p_in=0.4, rng=np.random.default_rng(9)
+        )
+        shard = SpaceConstrainedShard(
+            capacity=24, p_in=0.4, rng=np.random.default_rng(9)
+        )
+        for sampler in (reference, shard):
+            _feed_blocks(sampler, points[:400])
+            for point in points[400:]:
+                sampler.offer(point)
+        assert shard.state_dict()["payloads"] == reference.payloads()
+        assert list(shard.global_arrivals()) == list(
+            reference.arrival_indices()
+        )
+        for key in ("t", "offers", "insertions", "ejections", "arrivals",
+                    "rng_state"):
+            assert shard.state_dict()[key] == reference.state_dict()[key]
 
 
 class TestShardedFacade:
@@ -141,8 +196,8 @@ class TestShardedFacade:
             capacity=48, workers=4, rng=8, partitioner=part
         )
         fac.offer_many(_stream(400))
-        for w, worker in enumerate(fac._current_workers()):
-            for payload in worker.sampler.payloads():
+        for w, shard in enumerate(fac._current_workers()):
+            for payload in shard.payloads():
                 assert part.assign(0, payload) == w
 
     def test_inclusion_probability_round_robin_exact(self):

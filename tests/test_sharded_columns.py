@@ -1,11 +1,10 @@
 """The sharded union's resident columns equal a rebuild over its payloads.
 
 :meth:`~repro.shard.coordinator.ShardedReservoir.resident_columns`
-concatenates each worker's ``(values, labels, global_arrivals)`` columns
-(:meth:`~repro.shard.worker.ShardWorker.resident_columns`): an
-exponential worker reads its sampler's own column buffers, a
-space-constrained worker builds them from its ``(global_index, point)``
-payloads. Both families, at every worker count, must give exactly
+concatenates each shard's own column buffers (``values``, ``labels``)
+and its ``global_arrivals()`` slot column; both shard families
+(:mod:`repro.shard.worker`) are read the same way. Both families, at
+every worker count, must give exactly
 :func:`~repro.core.columns.build_resident_columns` over the facade's
 ``payloads()`` and ``arrival_indices()`` — dtype, shape and bytes — after
 block ingestion, with per-item offers still buffered, and after a
@@ -17,7 +16,6 @@ import pytest
 
 from repro.core import build_resident_columns
 from repro.shard import ShardedReservoir
-from repro.shard.worker import ShardWorker
 from repro.streams.point import StreamPoint
 
 DIMS = 3
@@ -133,7 +131,6 @@ def test_union_columns_build_no_entries(family, monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("resident_columns went through entries")
 
-    monkeypatch.setattr(ShardWorker, "entries_global", forbidden)
     monkeypatch.setattr(ShardedReservoir, "entries", forbidden)
     columns = facade.resident_columns()
     assert columns.size == facade.size
